@@ -1,62 +1,48 @@
-// Pull-based implementations of the LOCAL primitives, run node-parallel on
-// the round executor (docs/CONCURRENCY.md). Each node's step reads its
-// neighbors' round-frozen frontiers and writes only its own rows, so the
-// executor may run nodes concurrently; since adjacency lists are sorted by
-// node ID, the pull order reproduces the classic sequential push order
-// bit-for-bit (same known/next orderings, same tie-breaks). The
-// frontier-emptiness checks that drive early exit are any_node reductions —
-// order-insensitive, so thread-count-invariant like every other observable.
-// Fault healing (docs/FAULTS.md): under local-plane faults each primitive
-// that can self-heal switches to a re-offer variant — every round every node
-// offers its whole held set to its neighbors (not just the last round's
+// The LOCAL primitives as thin adapters over the two loops of
+// proto/local_engine.hpp. On a reliable local plane each primitive seeds a
+// store and runs the relaxation loop on the round executor
+// (docs/CONCURRENCY.md): hop_discovery, table_flood and
+// truncated_eccentricity over the seen-bitset store, limited_bellman_ford
+// and full_local_exploration over dense rows. Pull order is sorted
+// adjacency order, so results, tie-breaks and charged traffic are
+// thread-count-invariant.
+//
+// Fault healing (docs/FAULTS.md §3): under local-plane faults the floods
+// and Bellman–Ford run the re-offer loop instead — every round every node
+// offers its whole held set to its neighbours (not just the last round's
 // frontier), so an item lost to a drop gets fresh chances every subsequent
-// round. The variant stops once no node learned anything new for
-// heal_stability_rounds consecutive rounds (rounds with a crashed node
-// still down never count as quiet), throws fault_failure when
-// heal_budget_mult times the fault-free round budget elapses first, and
-// referees its converged state against the reliable result — premature
-// stability (possible under adversarial-prefix schedules, or with ~p^k
-// probability under random drops) surfaces as fault_failure, never as a
-// silently incomplete return. Learned
-// hop values become learn-round stamps (upper bounds on the true hop
-// distance); distances in the Bellman–Ford variant stay exact because each
-// node keeps the Pareto-minimal (dist, hops) pairs per source and only
-// offers pairs with hops < h — so every accepted value is realized by some
-// ≤h-hop walk, and at convergence it is d_h. The exploration-shaped
-// primitives (full_local_exploration, truncated_eccentricity) heal through
-// the shared engine in proto/sparse_exploration.cpp and return results
-// bit-identical to the fault-free run; the only refusals left are the two
-// documented fault_unsupported cases (frozen-round Bellman–Ford below,
-// charged token routing in proto/token_routing.cpp).
+// round, until a crash-aware quiet window; a referee then turns premature
+// stability into fault_failure, never a silently incomplete return. The
+// hop and table floods hold seen-sets and run to saturation (their
+// referee checks that each node holds exactly its component's items), so
+// learned hop values become learn-round stamps. Bellman–Ford holds
+// Pareto-minimal (dist, hops) sets per source and offers only pairs with
+// hops < h, so every accepted value is realized by a ≤h-hop walk; it
+// returns its referee's reliable result, vias included. The
+// exploration-shaped primitives (full_local_exploration,
+// truncated_eccentricity) heal through healed_local_exploration
+// (proto/sparse_exploration.cpp) and return results bit-identical to the
+// fault-free run.
 #include "proto/flood.hpp"
 
-#include <algorithm>
-#include <tuple>
-
-#include "proto/aggregation.hpp"
-#include "proto/sparse_exploration.hpp"
-#include "util/assert.hpp"
+#include "proto/local_engine.hpp"
 
 namespace hybrid {
 
+using namespace local_engine;
+
 namespace {
 
-/// Connected-component labels for the referee checks below. Frontier
-/// stability is a heuristic: an adversarial-prefix schedule can starve a
-/// link forever and look quiet, so each healed flood validates its
-/// converged state against what a reliable flood must produce and throws
-/// fault_failure on any shortfall — correct-or-explicitly-failed, never a
-/// silently truncated result. The validation is simulator-level, like the
-/// reliable path's frontier-emptiness reductions (docs/FAULTS.md).
+/// Connected-component labels for the seen-set referee.
 std::vector<u32> component_labels(const graph& g) {
   const u32 n = g.num_nodes();
   std::vector<u32> comp(n, ~u32{0});
   std::vector<u32> stack;
   u32 c = 0;
-  for (u32 root = 0; root < n; ++root) {
-    if (comp[root] != ~u32{0}) continue;
-    comp[root] = c;
-    stack.push_back(root);
+  for (u32 start = 0; start < n; ++start) {
+    if (comp[start] != ~u32{0}) continue;
+    comp[start] = c;
+    stack.push_back(start);
     while (!stack.empty()) {
       const u32 u = stack.back();
       stack.pop_back();
@@ -71,532 +57,145 @@ std::vector<u32> component_labels(const graph& g) {
   return comp;
 }
 
-/// Per-component tally of flooded item indices (seeds / publishers): at
-/// convergence every node must hold exactly the items rooted in its own
-/// component.
-std::vector<u64> items_per_component(const std::vector<u32>& comp,
-                                     const std::vector<u32>& roots) {
-  std::vector<u64> count;
-  for (const u32 r : roots) {
-    const u32 c = comp[r];
-    if (c >= count.size()) count.resize(c + 1, 0);
-    ++count[c];
-  }
-  return count;
-}
+/// Seen-set held policy (healed hop and table floods): a node holds the
+/// items it has heard in learn order, each stamped with the iteration that
+/// merged it (hop_discovery returns the stamp as the hop), and offers all
+/// of them every round; the first copy to get through is kept. Item i
+/// starts at node roots[i] and is charged words[i] local items per edge
+/// crossing (one when `words` is null).
+class seen_held {
+ public:
+  seen_held(const graph& g, const std::vector<u32>& roots,
+            const std::vector<u64>* words)
+      : g_(g), roots_(roots), words_(words), seen_(0, 0) {}
 
-std::vector<std::vector<discovered_seed>> healed_hop_discovery(
-    hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
-    bool early_exit) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const fault_options& fo = net.faults();
-  std::vector<std::vector<discovered_seed>> known(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(seeds.size(), 0);
-  for (u32 i = 0; i < seeds.size(); ++i) {
-    HYB_REQUIRE(seeds[i] < n, "seed out of range");
-    if (!seen[seeds[i]][i]) {
-      seen[seeds[i]][i] = 1;
-      known[seeds[i]].push_back({i, 0});
-    }
+  void reset() {
+    const u32 n = g_.num_nodes();
+    held.assign(n, {});
+    add_.assign(n, {});
+    seen_ = seen_bits(n, static_cast<u32>(roots_.size()));
+    for (u32 i = 0; i < roots_.size(); ++i)
+      if (seen_.mark(roots_[i], i)) held[roots_[i]].push_back({i, 0});
   }
-  // Staged acceptances: the pull step reads known[u] of *other* nodes, so
-  // it must not grow known[v] mid-round (docs/CONCURRENCY.md); new items
-  // land in add[v] and merge after the barrier.
-  std::vector<std::vector<discovered_seed>> add(n);
-  std::vector<u8> changed(n, 0);
-  const u64 budget =
-      u64{fo.heal_budget_mult} * std::max<u32>(rounds, 1) +
-      fo.heal_stability_rounds;
-  round_executor& exec = net.executor();
-  u32 quiet = 0;
-  u64 used = 0;
-  while (quiet < fo.heal_stability_rounds) {
-    if (used >= budget)
-      throw fault_failure("hop_discovery healing budget exhausted");
-    const u32 r = static_cast<u32>(++used);
-    std::vector<u64> dropped(n, 0);
-    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      add[v].clear();
-      if (!net.is_up(v)) return 0;
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<discovered_seed>& from = known[e.to];
-        const u32 count = static_cast<u32>(from.size());
-        mine += count;
-        for (u32 j = 0; j < count; ++j) {
-          if (net.local_drop(e.to, v, j, count)) {
-            ++dropped[v];
-            continue;
-          }
-          const u32 i = from[j].seed;
-          if (!seen[v][i]) add[v].push_back({i, r});
-        }
+  template <class Offer>
+  void pull(u32 v, const edge& e, Offer&& offer) {
+    const std::vector<discovered_seed>& from = held[e.to];
+    const u32 count = static_cast<u32>(from.size());
+    for (const discovered_seed& d : from)
+      if (offer(count, d.hop, words_ ? (*words_)[d.seed] : 1) &&
+          !seen_.has(v, d.seed))
+        add_[v].push_back(d.seed);
+  }
+  bool merge(u32 v, u32 it) {
+    bool changed = false;
+    for (const u32 i : add_[v])
+      if (seen_.mark(v, i)) {
+        held[v].push_back({i, it});
+        changed = true;
       }
-      return mine;
-    });
-    net.charge_local(items);
-    u64 lost = 0;
-    for (u32 v = 0; v < n; ++v) lost += dropped[v];
-    net.note_local_delivered(items - lost);
-    net.note_local_dropped(lost);
-    net.advance_round();
-    exec.for_nodes(n, [&](u32 v) {
-      changed[v] = 0;
-      for (const discovered_seed& d : add[v])
-        if (!seen[v][d.seed]) {
-          seen[v][d.seed] = 1;
-          known[v].push_back(d);
-          changed[v] = 1;
-        }
-    });
-    quiet = heal_next_quiet(net, exec, n, quiet, changed);
+    add_[v].clear();
+    return changed;
   }
-  // Referee: each node must know exactly the seeds of its own component
-  // (the healed flood runs to saturation, not a T-round ball).
-  {
-    const std::vector<u32> comp = component_labels(g);
-    const std::vector<u64> want = items_per_component(comp, seeds);
-    for (u32 v = 0; v < n; ++v)
-      if (known[v].size() !=
-          (comp[v] < want.size() ? want[comp[v]] : 0))
-        throw fault_failure(
-            "hop_discovery healing stabilized before reaching every node");
+  /// Frontier stability is a heuristic (an adversarial-prefix schedule can
+  /// starve a link forever and look quiet), so at convergence every node
+  /// must hold exactly the items rooted in its own component.
+  const char* referee() const {
+    const std::vector<u32> comp = component_labels(g_);
+    std::vector<u64> want;
+    for (const u32 r : roots_) {
+      if (comp[r] >= want.size()) want.resize(comp[r] + 1, 0);
+      ++want[comp[r]];
+    }
+    for (u32 v = 0; v < held.size(); ++v)
+      if (held[v].size() != (comp[v] < want.size() ? want[comp[v]] : 0))
+        return "stabilized before reaching every node";
+    return nullptr;
   }
-  // Round-accounting parity with the reliable path: pad the fixed budget
-  // (or the early-exit detection aggregation), and surface the healing
-  // overshoot. Stability detection itself is simulator-level, like the
-  // reliable path's frontier-emptiness check.
-  if (early_exit) {
-    for (u32 extra = aggregation_rounds(n); extra > 0; --extra)
-      net.advance_round();
-  } else {
-    for (; used < rounds; ++used) net.advance_round();
-  }
-  if (used > rounds) net.note_extra_rounds(used - rounds);
-  return known;
-}
 
-/// Pareto-minimal (dist, hops) tracking for the healed Bellman–Ford: under
-/// drops a smaller-dist/more-hops value can arrive before (or instead of) a
-/// fewer-hops one, and downstream nodes may only extend walks with
-/// hops < h — keeping just the best dist per source would silently lose
-/// valid ≤h-hop distances. Sets stay sorted by dist ascending (hence hops
-/// strictly descending).
-struct pareto_entry {
-  u64 dist;
-  u32 hops;
-  u32 via;
+  std::vector<std::vector<discovered_seed>> held;
+
+ private:
+  const graph& g_;
+  const std::vector<u32>& roots_;
+  const std::vector<u64>* words_;
+  seen_bits seen_;
+  std::vector<std::vector<u32>> add_;
 };
 
-bool pareto_dominated(const std::vector<pareto_entry>& set, u64 dist,
-                      u32 hops) {
-  for (const pareto_entry& e : set)
-    if (e.dist <= dist && e.hops <= hops) return true;
-  return false;
-}
-
-void pareto_insert(std::vector<pareto_entry>& set, u64 dist, u32 hops,
-                   u32 via) {
-  set.erase(std::remove_if(set.begin(), set.end(),
-                           [&](const pareto_entry& e) {
-                             return e.dist >= dist && e.hops >= hops;
-                           }),
-            set.end());
-  auto pos = std::lower_bound(set.begin(), set.end(), dist,
-                              [](const pareto_entry& e, u64 d) {
-                                return e.dist < d;
-                              });
-  set.insert(pos, {dist, hops, via});
-}
-
-std::vector<std::vector<source_distance>> healed_limited_bellman_ford(
-    hybrid_net& net, const std::vector<u32>& sources, u32 h) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const u32 s_count = static_cast<u32>(sources.size());
-  const fault_options& fo = net.faults();
-  // cur[v][i]: Pareto-minimal (dist, hops) pairs v holds for source i.
-  std::vector<std::vector<std::vector<pareto_entry>>> cur(
-      n, std::vector<std::vector<pareto_entry>>(s_count));
-  for (u32 i = 0; i < s_count; ++i) {
-    HYB_REQUIRE(sources[i] < n, "source out of range");
-    if (cur[sources[i]][i].empty())
-      cur[sources[i]][i].push_back({0, 0, sources[i]});
-  }
-  // (source, dist, hops, via) acceptances staged per round, merged after
-  // the barrier (steps read other nodes' cur).
-  std::vector<std::vector<std::tuple<u32, u64, u32, u32>>> add(n);
-  std::vector<u8> changed(n, 0);
-  std::vector<u64> dropped(n, 0);
-  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(h, 1) +
-                     fo.heal_stability_rounds;
-  round_executor& exec = net.executor();
-  u32 quiet = 0;
-  u64 used = 0;
-  while (quiet < fo.heal_stability_rounds) {
-    if (used >= budget)
-      throw fault_failure("limited_bellman_ford healing budget exhausted");
-    ++used;
-    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      add[v].clear();
-      dropped[v] = 0;
-      if (!net.is_up(v)) return 0;
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        // Offered set: every held pair that can still be extended within
-        // the hop budget. Enumerate once for the count (the adversarial
-        // mode needs it), once for the pulls.
-        u32 count = 0;
-        for (u32 i = 0; i < s_count; ++i)
-          for (const pareto_entry& pe : cur[e.to][i])
-            if (pe.hops < h) ++count;
-        mine += count;
-        u32 idx = 0;
-        for (u32 i = 0; i < s_count; ++i)
-          for (const pareto_entry& pe : cur[e.to][i]) {
-            if (pe.hops >= h) continue;
-            if (net.local_drop(e.to, v, idx++, count)) {
-              ++dropped[v];
-              continue;
-            }
-            const u64 nd = pe.dist + e.weight;
-            const u32 nh = pe.hops + 1;
-            if (!pareto_dominated(cur[v][i], nd, nh))
-              add[v].push_back({i, nd, nh, e.to});
-          }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    u64 lost = 0;
-    for (u32 v = 0; v < n; ++v) lost += dropped[v];
-    net.note_local_delivered(items - lost);
-    net.note_local_dropped(lost);
-    net.advance_round();
-    exec.for_nodes(n, [&](u32 v) {
-      changed[v] = 0;
-      for (const auto& [i, nd, nh, via] : add[v]) {
-        if (pareto_dominated(cur[v][i], nd, nh)) continue;
-        pareto_insert(cur[v][i], nd, nh, via);
-        changed[v] = 1;
-      }
-    });
-    quiet = heal_next_quiet(net, exec, n, quiet, changed);
-  }
-  // Referee: replay the reliable relaxation sequentially, in memory — no
-  // simulated traffic — including its via tie-breaking (first neighbor in
-  // adjacency order that strictly improves, per round), and require the
-  // healed distance fronts to match exactly. Healed entries are always
-  // realized by ≤h-hop walks, so any divergence means the stability
-  // heuristic fired before convergence. The referee's result is what gets
-  // returned: healed vias depend on which copy survived the drop pattern,
-  // while the callers' determinism contract promises labels bit-identical
-  // to the fault-free run.
-  std::vector<std::vector<u64>> ref(n, std::vector<u64>(s_count, kInfDist));
-  std::vector<std::vector<u32>> ref_via(n, std::vector<u32>(s_count, ~u32{0}));
-  {
-    std::vector<std::vector<source_distance>> frontier(n);
-    for (u32 i = 0; i < s_count; ++i)
-      if (ref[sources[i]][i] > 0) {
-        ref[sources[i]][i] = 0;
-        ref_via[sources[i]][i] = sources[i];
-        frontier[sources[i]].push_back({i, 0, sources[i]});
-      }
-    for (u32 r = 0; r < h; ++r) {
-      std::vector<std::vector<source_distance>> next(n);
-      bool any = false;
-      for (u32 v = 0; v < n; ++v) {
-        for (const edge& e : g.neighbors(v))
-          for (const source_distance& f : frontier[e.to]) {
-            const u64 nd = f.dist + e.weight;
-            if (nd < ref[v][f.source]) {
-              ref[v][f.source] = nd;
-              ref_via[v][f.source] = e.to;
-              next[v].push_back({f.source, nd, e.to});
-            }
-          }
-        next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                     [&](const source_distance& sd) {
-                                       return sd.dist != ref[v][sd.source];
-                                     }),
-                      next[v].end());
-        any = any || !next[v].empty();
-      }
-      frontier = std::move(next);
-      if (!any) break;
-    }
-    for (u32 v = 0; v < n; ++v)
-      for (u32 i = 0; i < s_count; ++i)
-        if ((cur[v][i].empty() ? kInfDist : cur[v][i].front().dist) !=
-            ref[v][i])
-          throw fault_failure(
-              "limited_bellman_ford healing stabilized before convergence");
-  }
-  for (; used < h; ++used) net.advance_round();
-  if (used > h) net.note_extra_rounds(used - h);
-  std::vector<std::vector<source_distance>> out(n);
-  for (u32 v = 0; v < n; ++v)
-    for (u32 i = 0; i < s_count; ++i)
-      if (ref[v][i] != kInfDist) out[v].push_back({i, ref[v][i], ref_via[v][i]});
-  return out;
-}
-
-std::vector<std::vector<u32>> healed_table_flood(
-    hybrid_net& net, const std::vector<u32>& publishers,
-    const std::vector<u64>& table_words, u32 rounds) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const fault_options& fo = net.faults();
-  std::vector<std::vector<u32>> holds(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(publishers.size(), 0);
-  for (u32 i = 0; i < publishers.size(); ++i) {
-    const u32 p = publishers[i];
-    HYB_REQUIRE(p < n, "publisher out of range");
-    if (!seen[p][i]) {
-      seen[p][i] = 1;
-      holds[p].push_back(i);
-    }
-  }
-  std::vector<std::vector<u32>> add(n);
-  std::vector<u8> changed(n, 0);
-  std::vector<u64> dropped(n, 0);
-  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(rounds, 1) +
-                     fo.heal_stability_rounds;
-  round_executor& exec = net.executor();
-  u32 quiet = 0;
-  u64 used = 0;
-  while (quiet < fo.heal_stability_rounds) {
-    if (used >= budget)
-      throw fault_failure("table_flood healing budget exhausted");
-    ++used;
-    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      add[v].clear();
-      dropped[v] = 0;
-      if (!net.is_up(v)) return 0;
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<u32>& from = holds[e.to];
-        const u32 count = static_cast<u32>(from.size());
-        for (u32 j = 0; j < count; ++j) {
-          mine += table_words[from[j]];  // whole table crosses the edge
-          if (net.local_drop(e.to, v, j, count)) {
-            ++dropped[v];
-            continue;
-          }
-          if (!seen[v][from[j]]) add[v].push_back(from[j]);
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    u64 lost = 0;
-    for (u32 v = 0; v < n; ++v) lost += dropped[v];
-    net.note_local_delivered(items - lost);
-    net.note_local_dropped(lost);
-    net.advance_round();
-    exec.for_nodes(n, [&](u32 v) {
-      changed[v] = 0;
-      for (u32 i : add[v])
-        if (!seen[v][i]) {
-          seen[v][i] = 1;
-          holds[v].push_back(i);
-          changed[v] = 1;
-        }
-    });
-    quiet = heal_next_quiet(net, exec, n, quiet, changed);
-  }
-  // Referee: every node must hold exactly its component's tables.
-  {
-    const std::vector<u32> comp = component_labels(g);
-    const std::vector<u64> want = items_per_component(comp, publishers);
-    for (u32 v = 0; v < n; ++v)
-      if (holds[v].size() !=
-          (comp[v] < want.size() ? want[comp[v]] : 0))
-        throw fault_failure(
-            "table_flood healing stabilized before reaching every node");
-  }
-  for (; used < rounds; ++used) net.advance_round();
-  if (used > rounds) net.note_extra_rounds(used - rounds);
-  return holds;
-}
-
 }  // namespace
-
-u32 heal_next_quiet(hybrid_net& net, round_executor& exec, u32 n, u32 quiet,
-                    const std::vector<u8>& changed) {
-  if (exec.any_node(n, [&](u32 v) { return changed[v] != 0; })) return 0;
-  if (!net.faults().crashes.empty() &&
-      exec.any_node(n, [&](u32 v) { return !net.is_up(v); }))
-    return 0;
-  return quiet + 1;
-}
 
 std::vector<std::vector<discovered_seed>> hop_discovery(
     hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
     bool early_exit) {
-  if (net.local_faults_active())
-    return healed_hop_discovery(net, seeds, rounds, early_exit);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+  const u32 n = net.n();
+  for (const u32 s : seeds) HYB_REQUIRE(s < n, "seed out of range");
+  if (net.local_faults_active()) {
+    seen_held held(net.g(), seeds, nullptr);
+    reoffer(net, held, {"hop_discovery", rounds, rounds, rounds, early_exit});
+    return std::move(held.held);
+  }
   std::vector<std::vector<discovered_seed>> known(n);
-  // frontier[v] = seed indices first learned by v in the previous round.
   std::vector<std::vector<u32>> frontier(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(seeds.size(), 0);
-  for (u32 i = 0; i < seeds.size(); ++i) {
-    HYB_REQUIRE(seeds[i] < n, "seed out of range");
-    if (!seen[seeds[i]][i]) {
-      seen[seeds[i]][i] = 1;
-      known[seeds[i]].push_back({i, 0});
-      frontier[seeds[i]].push_back(i);
-    }
-  }
-  for (u32 r = 1; r <= rounds; ++r) {
-    std::vector<std::vector<u32>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<u32>& from = frontier[e.to];
-        mine += from.size();
-        for (u32 i : from) {
-          if (!seen[v][i]) {
-            seen[v][i] = 1;
-            known[v].push_back({i, r});
-            next[v].push_back(i);
-          }
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any && r < rounds) {
-      if (early_exit) {
-        // Detecting global saturation costs one AND-aggregation.
-        for (u32 extra = aggregation_rounds(n); extra > 0; --extra)
-          net.advance_round();
-      } else {
-        // Fixed round budgets are part of the protocols: the remaining
-        // rounds are silent but still elapse.
-        for (u32 rest = r + 1; rest <= rounds; ++rest) net.advance_round();
-      }
-      break;
-    }
-  }
+  seen_store store(n, static_cast<u32>(seeds.size()), nullptr,
+                   [&](u32 v, u32 i, u32 r) { known[v].push_back({i, r}); });
+  for (u32 i = 0; i < seeds.size(); ++i)
+    store.seed(seeds[i], i, frontier[seeds[i]]);
+  relax(store, frontier, rounds, graph_edges{net.g()},
+        round_policy::charged(net, true, early_exit));
   return known;
 }
 
 std::vector<std::vector<source_distance>> limited_bellman_ford(
     hybrid_net& net, const std::vector<u32>& sources, u32 h,
     bool advance_rounds) {
-  if (net.local_faults_active()) {
-    // With a frozen round counter the fault stream would re-roll the same
-    // draws every iteration — a dropped edge stays dropped forever and no
-    // amount of re-offering heals it. The remediation its former
-    // fault_unsupported refusal named (run with advance_rounds=true) is now
-    // honored automatically: the healed path runs with real rounds, and
-    // because the caller asked for a frozen counter its nominal budget is 0
-    // — every round actually consumed surfaces as extra_rounds, so metrics
-    // record the whole cost of the fallback (docs/FAULTS.md §3).
-    if (!advance_rounds) {
-      const u64 r0 = net.round();
-      const u64 x0 = net.raw_metrics().extra_rounds;
-      auto out = healed_limited_bellman_ford(net, sources, h);
-      const u64 spent = net.round() - r0;
-      const u64 noted = net.raw_metrics().extra_rounds - x0;
-      if (spent > noted) net.note_extra_rounds(spent - noted);
-      return out;
-    }
-    return healed_limited_bellman_ford(net, sources, h);
-  }
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+  const u32 n = net.n();
   const u32 s_count = static_cast<u32>(sources.size());
-  // dist[v] is v's current vector of limited distances (kInfDist = unknown);
-  // via[v] the neighbor the best value arrived through.
-  std::vector<std::vector<u64>> dist(n);
-  std::vector<std::vector<u32>> via(n);
-  for (u32 v = 0; v < n; ++v) {
-    dist[v].assign(s_count, kInfDist);
-    via[v].assign(s_count, ~u32{0});
-  }
-  // Frontier entries carry the value as of the round they were produced, so
-  // one synchronous round advances a value exactly one hop (the hop budget
-  // is what makes d_h well-defined).
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 i = 0; i < s_count; ++i) {
-    HYB_REQUIRE(sources[i] < n, "source out of range");
-    if (dist[sources[i]][i] != 0) {
-      dist[sources[i]][i] = 0;
-      via[sources[i]][i] = sources[i];
-      frontier[sources[i]].push_back({i, 0, sources[i]});
-    }
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from) {
-          const u64 nd = f.dist + e.weight;
-          if (nd < dist[v][f.source]) {
-            dist[v][f.source] = nd;
-            via[v][f.source] = e.to;
-            next[v].push_back({f.source, nd, e.to});
-          }
-        }
-      }
-      // Drop superseded entries (a later, smaller update for the same
-      // source makes earlier queued ones redundant). dist[v] is final for
-      // the round once this step ends — only v's own step writes it.
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dist[v][sd.source];
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
-  }
+  for (const u32 s : sources) HYB_REQUIRE(s < n, "source out of range");
   std::vector<std::vector<source_distance>> out(n);
+  if (net.local_faults_active()) {
+    // Keys are source indices. The referee is the reliable relaxation run
+    // free, and its result is what gets returned: healed vias depend on
+    // which copy survived the drop pattern, while callers are promised
+    // labels bit-identical to the fault-free run. With a frozen round
+    // counter the fault stream would re-roll the same draws every
+    // iteration, so the healed path always advances; because the caller
+    // asked for a frozen counter its nominal budget is 0 and every round
+    // consumed surfaces as extra_rounds (docs/FAULTS.md §3).
+    std::vector<root> roots(s_count);
+    for (u32 i = 0; i < s_count; ++i) roots[i] = {sources[i], i};
+    const sparse_exploration_result ref =
+        explore_sparse(n, h, roots, graph_edges{net.g()},
+                       round_policy::free(net.executor()), true);
+    pareto_held held(n, h, roots, indexed_sets(s_count), false, ref);
+    reoffer(net, held,
+            {"limited_bellman_ford", h, h, advance_rounds ? h : 0});
+    for (u32 v = 0; v < n; ++v)
+      for (const exploration_entry& e : ref.reached(v))
+        out[v].push_back({e.source, e.dist, e.first_hop});
+    return out;
+  }
+  dense_store store(n, s_count, true);
+  std::vector<std::vector<source_distance>> frontier(n);
+  for (u32 i = 0; i < s_count; ++i)
+    store.seed(sources[i], i, frontier[sources[i]]);
+  relax(store, frontier, h, graph_edges{net.g()},
+        round_policy::charged(net, advance_rounds));
   for (u32 v = 0; v < n; ++v)
     for (u32 i = 0; i < s_count; ++i)
-      if (dist[v][i] != kInfDist)
-        out[v].push_back({i, dist[v][i], via[v][i]});
+      if (store.dist[v][i] != kInfDist)
+        out[v].push_back({i, store.dist[v][i], store.via[v][i]});
   return out;
 }
 
 std::vector<std::vector<u64>> full_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     std::vector<std::vector<u32>>* first_hop) {
+  const u32 n = net.n();
   if (net.local_faults_active()) {
-    // Self-heal through the shared exploration engine
-    // (proto/sparse_exploration.cpp) and expand its canonical CSR triples
-    // back into the dense matrix shape this primitive promises. The engine
-    // returns the referee's fixed point, so dist and first_hop are
-    // bit-identical to the fault-free run.
+    // Heal through the exploration engine and expand its canonical CSR
+    // triples back into the dense matrix shape this primitive promises.
     const sparse_exploration_result got = healed_local_exploration(
         net, h, advance_rounds, nullptr, first_hop != nullptr);
-    const u32 n = net.n();
     std::vector<std::vector<u64>> dist(n, std::vector<u64>(n, kInfDist));
     if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
     for (u32 v = 0; v < n; ++v)
@@ -606,55 +205,13 @@ std::vector<std::vector<u64>> full_local_exploration(
       }
     return dist;
   }
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  std::vector<std::vector<u64>> dist(n);
-  if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
-  // As in limited_bellman_ford, frontier entries carry the value of the
-  // producing round so information moves one hop per round.
+  dense_store store(n, n, first_hop != nullptr);
   std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 v = 0; v < n; ++v) {
-    dist[v].assign(n, kInfDist);
-    dist[v][v] = 0;
-    if (first_hop) (*first_hop)[v][v] = v;
-    frontier[v].push_back({v, 0, v});
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from) {
-          const u64 nd = f.dist + e.weight;
-          if (nd < dist[v][f.source]) {
-            dist[v][f.source] = nd;
-            if (first_hop) (*first_hop)[v][f.source] = e.to;
-            next[v].push_back({f.source, nd, e.to});
-          }
-        }
-      }
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dist[v][sd.source];
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
-  }
-  return dist;
+  for (u32 v = 0; v < n; ++v) store.seed(v, v, frontier[v]);
+  relax(store, frontier, h, graph_edges{net.g()},
+        round_policy::charged(net, advance_rounds));
+  if (first_hop) *first_hop = std::move(store.via);
+  return std::move(store.dist);
 }
 
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,
@@ -663,121 +220,51 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
                                           u32 rounds) {
   HYB_REQUIRE(publishers.size() == table_words.size(),
               "each publisher needs a table size");
-  if (net.local_faults_active())
-    return healed_table_flood(net, publishers, table_words, rounds);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+  const u32 n = net.n();
+  for (const u32 p : publishers) HYB_REQUIRE(p < n, "publisher out of range");
   std::vector<std::vector<u32>> holds(n);
+  if (net.local_faults_active()) {
+    seen_held held(net.g(), publishers, &table_words);
+    reoffer(net, held, {"table_flood", rounds, rounds, rounds});
+    for (u32 v = 0; v < n; ++v) {
+      holds[v].reserve(held.held[v].size());
+      for (const discovered_seed& d : held.held[v]) holds[v].push_back(d.seed);
+    }
+    return holds;
+  }
   std::vector<std::vector<u32>> frontier(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(publishers.size(), 0);
-  for (u32 i = 0; i < publishers.size(); ++i) {
-    const u32 p = publishers[i];
-    HYB_REQUIRE(p < n, "publisher out of range");
-    if (!seen[p][i]) {
-      seen[p][i] = 1;
-      holds[p].push_back(i);
-      frontier[p].push_back(i);
-    }
-  }
-  for (u32 r = 1; r <= rounds; ++r) {
-    std::vector<std::vector<u32>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        for (u32 i : frontier[e.to]) {
-          mine += table_words[i];  // whole table crosses the edge
-          if (!seen[v][i]) {
-            seen[v][i] = 1;
-            holds[v].push_back(i);
-            next[v].push_back(i);
-          }
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any && r < rounds) {
-      for (u32 rest = r + 1; rest <= rounds; ++rest) net.advance_round();
-      break;
-    }
-  }
+  seen_store store(n, static_cast<u32>(publishers.size()), &table_words,
+                   [&](u32 v, u32 i, u32) { holds[v].push_back(i); });
+  for (u32 i = 0; i < publishers.size(); ++i)
+    store.seed(publishers[i], i, frontier[publishers[i]]);
+  relax(store, frontier, rounds, graph_edges{net.g()},
+        round_policy::charged(net));
   return holds;
 }
 
 std::vector<u32> truncated_eccentricity(hybrid_net& net, u32 rounds) {
+  const u32 n = net.n();
+  std::vector<u32> ecc(n, 0);
   if (net.local_faults_active()) {
-    // Hello floods carry hop counts, not weighted distances, so run the
-    // healed engine with unit weights (always with real rounds — frozen
-    // counters cannot heal) and read each node's truncated eccentricity off
-    // its reached set. The engine returns the referee's canonical fixed
-    // point, so the h_v vector is bit-identical to the fault-free flood.
+    // Hello floods carry hop counts, so heal with unit weights and read
+    // each node's truncated eccentricity off its refereed reached set.
     const sparse_exploration_result got = healed_local_exploration(
         net, rounds, true, nullptr, false, true);
-    const run_metrics& m = net.raw_metrics();
-    HYB_INVARIANT(m.local_items == m.local_delivered + m.local_dropped,
-                  "local plane ledger must balance after a healed flood");
-    const u32 n = net.n();
-    std::vector<u32> ecc(n, 0);
     for (u32 v = 0; v < n; ++v)
       for (const exploration_entry& e : got.reached(v))
         ecc[v] = std::max(ecc[v], static_cast<u32>(e.dist));
-    return ecc;
+  } else {
+    // Every node floods its own id; the last round a node learns a new id
+    // is its h_v. One seen bit per (node, id): O(n²/8) memory.
+    std::vector<std::vector<u32>> frontier(n);
+    seen_store store(n, n, nullptr, [&](u32 v, u32, u32 r) { ecc[v] = r; });
+    for (u32 v = 0; v < n; ++v) store.seed(v, v, frontier[v]);
+    relax(store, frontier, rounds, graph_edges{net.g()},
+          round_policy::charged(net));
   }
-  // Bitset-based all-sources hello flood: O(n²/8) memory instead of storing
-  // (seed, hop) lists per node.
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const u32 words = (n + 63) / 64;
-  std::vector<std::vector<u64>> seen(n, std::vector<u64>(words, 0));
-  std::vector<std::vector<u32>> frontier(n);
-  std::vector<u32> ecc(n, 0);
-  for (u32 v = 0; v < n; ++v) {
-    seen[v][v / 64] |= u64{1} << (v % 64);
-    frontier[v].push_back(v);
-  }
-  for (u32 r = 1; r <= rounds; ++r) {
-    std::vector<std::vector<u32>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<u32>& from = frontier[e.to];
-        mine += from.size();
-        for (u32 id : from) {
-          u64& word = seen[v][id / 64];
-          const u64 bit = u64{1} << (id % 64);
-          if (!(word & bit)) {
-            word |= bit;
-            ecc[v] = r;
-            next[v].push_back(id);
-          }
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any && r < rounds) {
-      // This branch only runs on a reliable local plane (the healed path
-      // returned above), so everything charged must have arrived: the
-      // ledger local_items == local_delivered + local_dropped balances with
-      // a zero dropped share from this flood.
-      const run_metrics& m = net.raw_metrics();
-      HYB_INVARIANT(m.local_items == m.local_delivered + m.local_dropped,
-                    "local plane ledger must balance at flood saturation");
-      for (u32 rest = r + 1; rest <= rounds; ++rest) net.advance_round();
-      break;
-    }
-  }
+  const run_metrics& m = net.raw_metrics();
+  HYB_INVARIANT(m.local_items == m.local_delivered + m.local_dropped,
+                "local plane ledger must balance after a hello flood");
   return ecc;
 }
 

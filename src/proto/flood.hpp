@@ -28,6 +28,9 @@
 //
 // All primitives run over the whole graph; restricting propagation to a
 // cluster is done by the clustering utilities (proto/clustering.hpp).
+// Each one is a thin adapter over the two loops of proto/local_engine.hpp:
+// the relaxation loop on a reliable local plane, the re-offer loop under
+// local-plane faults (docs/FAULTS.md §3).
 #pragma once
 
 #include <memory>
@@ -48,6 +51,10 @@ struct discovered_seed {
 /// forward; since frontier-emptiness is global information, the saved
 /// rounds cost one charged AND-aggregation (Lemma B.2). The result is
 /// identical either way — once saturated, the remaining budget is silent.
+/// Under local-plane faults the healed flood diverges: it runs to
+/// saturation, so every node hears every seed of its component (past the
+/// `rounds` budget), and each hop is the round the seed was learned — an
+/// upper bound on the true hop, not the hop itself (docs/FAULTS.md §3).
 std::vector<std::vector<discovered_seed>> hop_discovery(
     hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
     bool early_exit = false);
@@ -91,6 +98,8 @@ std::vector<std::vector<u64>> full_local_exploration(
 /// (4) Flood per-publisher immutable tables for `rounds` rounds.
 /// `table_words[i]` is the accounted size of publisher i's table in 64-bit
 /// words. Returns for each node the publisher indices whose table it holds.
+/// Under local-plane faults, like hop_discovery, the healed flood runs to
+/// saturation and every node holds every table of its component.
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,
                                           const std::vector<u32>& publishers,
                                           const std::vector<u64>& table_words,
@@ -103,13 +112,5 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
 /// through the healed exploration engine (proto/sparse_exploration.hpp) and
 /// returns the identical h_v vector.
 std::vector<u32> truncated_eccentricity(hybrid_net& net, u32 rounds);
-
-/// Quiet-window update shared by the self-healing re-offer loops
-/// (docs/FAULTS.md §3). Progress this round resets the counter; so does any
-/// node still being down — a paused node has pulls pending that only run
-/// after recovery, so its silence is not convergence (a never-recovering
-/// node pushes the loop into its budget and an explicit fault_failure).
-u32 heal_next_quiet(hybrid_net& net, round_executor& exec, u32 n, u32 quiet,
-                    const std::vector<u8>& changed);
 
 }  // namespace hybrid

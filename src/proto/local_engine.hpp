@@ -1,0 +1,559 @@
+// The LOCAL relaxation engine behind proto/flood.cpp and
+// proto/sparse_exploration.cpp — an internal header, not public API.
+//
+// Every LOCAL-mode step the paper uses is one synchronous relaxation over
+// the local graph (the h-ball pattern: ruling-set and cluster floods, the
+// skeleton's h-hop Bellman–Ford, the APSP local exploration, the label
+// table flood), so two loops implement all of them:
+//
+//  * relax() — the fault-free loop. A round pulls every neighbour's
+//    round-frozen frontier in sorted adjacency order, keeps strict
+//    improvements, drops superseded entries, charges the pulled items and
+//    advances (or freezes) the round; once no frontier is left the rest of
+//    the budget is padded, or one AND-aggregation pays for the early exit.
+//    It is parameterized by the per-node store (dense rows,
+//    sparse_dist_map, or a seen-bitset for unit floods, where the first
+//    arrival is final), the neighbour source (graph edges, unit weights, an
+//    explicit adjacency list) and the round policy (charged on a
+//    hybrid_net, or free: the referees and explore_adjacency).
+//  * reoffer() — the self-healing loop for a faulty local plane
+//    (docs/FAULTS.md §3). Every round every node offers its whole held set
+//    to its neighbours through local_drop, so a dropped item gets a fresh
+//    chance each round; acceptances merge after the barrier; the loop ends
+//    after a crash-aware quiet window (or throws fault_failure when the
+//    budget runs out) and the held-set policy referees the converged state
+//    against the reliable fixed point. The policy fixes the offer order and
+//    therefore every fault draw: a seen-set (hop and table floods), Pareto
+//    sets in key order (Bellman–Ford) or in insertion order (the
+//    exploration engine).
+//
+// Both loops follow the executor's determinism contract
+// (docs/CONCURRENCY.md): a node's step reads other nodes' round-frozen
+// state and writes only its own rows.
+#pragma once
+
+#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "proto/aggregation.hpp"
+#include "proto/flood.hpp"
+#include "proto/sparse_exploration.hpp"
+#include "util/assert.hpp"
+
+namespace hybrid::local_engine {
+
+/// One exploration root: `key` starts at distance 0 at `node`. Keys are
+/// node ids for the explorations and source indices for Bellman–Ford.
+struct root {
+  u32 node;
+  u32 key;
+};
+
+// ---- relaxation loop -------------------------------------------------------
+
+/// How relax() pays for a round. Charged (`net` set): pulled items are
+/// local traffic, all delivered (relax only runs on a reliable plane);
+/// rounds advance unless `advance` is false (the run-in-parallel trick of
+/// Lemma 4.3); a frontier that empties early pads the rest of the budget,
+/// or with `aggregate_exit` pays one AND-aggregation (Lemma B.2) instead.
+/// Free (`net` null): plain local computation on `exec`.
+struct round_policy {
+  round_executor& exec;
+  hybrid_net* net = nullptr;
+  bool advance = true;
+  bool aggregate_exit = false;
+
+  static round_policy charged(hybrid_net& net, bool advance = true,
+                              bool aggregate_exit = false) {
+    return {net.executor(), &net, advance, aggregate_exit};
+  }
+  static round_policy free(round_executor& exec) { return {exec}; }
+};
+
+/// Neighbour source over the sorted graph adjacency; `unit` floods hop
+/// counts instead of weighted distances.
+struct graph_edges {
+  const graph& g;
+  bool unit = false;
+  template <class F>
+  void operator()(u32 v, F&& f) const {
+    for (const edge& e : g.neighbors(v)) f(e.to, unit ? u64{1} : e.weight);
+  }
+};
+
+/// Neighbour source over an explicit (neighbour, weight) adjacency list.
+struct adjacency_list {
+  const std::vector<std::vector<std::pair<u32, u64>>>& adj;
+  template <class F>
+  void operator()(u32 v, F&& f) const {
+    for (const auto& [to, w] : adj[v]) f(to, w);
+  }
+};
+
+/// Weighted store: per node the best (dist, via) per key. Frontier items
+/// carry the value of the round that produced them, so a value moves
+/// exactly one hop per round. `Rows` supplies dist_of and relax (adopt iff
+/// strictly better — the first improving neighbour in pull order wins).
+template <class Rows>
+struct weighted_store : Rows {
+  using item = source_distance;
+  using Rows::Rows;
+
+  void seed(u32 v, u32 key, std::vector<item>& frontier) {
+    if (this->relax(v, key, 0, v)) frontier.push_back({key, 0, v});
+  }
+  static u64 cost(std::span<const item> from) { return from.size(); }
+  void pull(u32 v, const item& f, u32 from, u64 w, u32,
+            std::vector<item>& next) {
+    const u64 nd = f.dist + w;
+    if (this->relax(v, f.source, nd, from))
+      next.push_back({f.source, nd, from});
+  }
+  /// Drop superseded entries: a later, smaller update for the same key
+  /// makes earlier queued ones redundant (v's row is final once its step
+  /// ends).
+  void settle(u32 v, std::vector<item>& next) const {
+    std::erase_if(next, [&](const item& sd) {
+      return sd.dist != this->dist_of(v, sd.source);
+    });
+  }
+};
+
+/// Dense rows: a `width`-wide distance vector per node (O(n·width)
+/// memory), plus via rows when first hops are tracked.
+struct dense_rows {
+  std::vector<std::vector<u64>> dist;
+  std::vector<std::vector<u32>> via;  ///< empty when not tracked
+
+  dense_rows(u32 n, u32 width, bool track_via)
+      : dist(n, std::vector<u64>(width, kInfDist)) {
+    if (track_via) via.assign(n, std::vector<u32>(width, ~u32{0}));
+  }
+  u64 dist_of(u32 v, u32 key) const { return dist[v][key]; }
+  bool relax(u32 v, u32 key, u64 nd, u32 from) {
+    if (nd >= dist[v][key]) return false;
+    dist[v][key] = nd;
+    if (!via.empty()) via[v][key] = from;
+    return true;
+  }
+};
+
+/// Sparse rows: one sparse_dist_map per node, O(Σ|ball_h(v)|) memory.
+struct sparse_rows {
+  std::vector<sparse_dist_map> dist;
+
+  explicit sparse_rows(u32 n) : dist(n) {}
+  u64 dist_of(u32 v, u32 key) const { return dist[v].dist_of(key); }
+  bool relax(u32 v, u32 key, u64 nd, u32 from) {
+    return dist[v].relax(key, nd, from);
+  }
+};
+
+using dense_store = weighted_store<dense_rows>;
+using sparse_store = weighted_store<sparse_rows>;
+
+/// One bit per (node, item), rows contiguous.
+class seen_bits {
+ public:
+  seen_bits(u32 n, u32 items)
+      : words_((u64{items} + 63) / 64), bits_(u64{n} * words_, 0) {}
+  bool has(u32 v, u32 i) const {
+    return (bits_[v * words_ + i / 64] >> (i % 64)) & 1;
+  }
+  /// Sets the bit; true when it was clear.
+  bool mark(u32 v, u32 i) {
+    u64& w = bits_[v * words_ + i / 64];
+    const u64 bit = u64{1} << (i % 64);
+    if (w & bit) return false;
+    w |= bit;
+    return true;
+  }
+
+ private:
+  u64 words_;
+  std::vector<u64> bits_;
+};
+
+/// Unit-flood store: the first arrival of an item is final, so frontier
+/// items are bare item indices and a node keeps one seen bit per item.
+/// `learn(v, item, round)` records each first arrival; `words` (optional)
+/// charges item i as words[i] local items instead of one (table floods).
+template <class Learn>
+struct seen_store {
+  using item = u32;
+  seen_bits seen;
+  const std::vector<u64>* words;
+  Learn learn;
+
+  seen_store(u32 n, u32 items, const std::vector<u64>* item_words,
+             Learn on_learn)
+      : seen(n, items), words(item_words), learn(std::move(on_learn)) {}
+
+  void seed(u32 v, u32 i, std::vector<item>& frontier) {
+    if (!seen.mark(v, i)) return;
+    learn(v, i, 0);
+    frontier.push_back(i);
+  }
+  u64 cost(std::span<const item> from) const {
+    if (!words) return from.size();
+    u64 c = 0;
+    for (const u32 i : from) c += (*words)[i];
+    return c;
+  }
+  void pull(u32 v, u32 i, u32, u64, u32 r, std::vector<item>& next) {
+    if (!seen.mark(v, i)) return;
+    learn(v, i, r);
+    next.push_back(i);
+  }
+  void settle(u32, std::vector<item>&) const {}
+};
+
+/// The relaxation loop: up to `budget` synchronous rounds from the seeded
+/// `frontier` (one entry list per node). Frontier buffers are swapped and
+/// reused across rounds; on return `frontier` holds the last round's.
+template <class Store, class Neighbors>
+void relax(Store& store,
+           std::vector<std::vector<typename Store::item>>& frontier,
+           u32 budget, const Neighbors& nbrs, const round_policy& policy) {
+  using item = typename Store::item;
+  const u32 n = static_cast<u32>(frontier.size());
+  std::vector<std::vector<item>> next(n);
+  for (u32 r = 1; r <= budget; ++r) {
+    const u64 items = policy.exec.sum_nodes(n, [&](u32 v) -> u64 {
+      std::vector<item>& out = next[v];
+      out.clear();
+      u64 mine = 0;
+      nbrs(v, [&](u32 from, u64 w) {
+        mine += store.cost(frontier[from]);
+        for (const item& f : frontier[from]) store.pull(v, f, from, w, r, out);
+      });
+      store.settle(v, out);
+      return mine;
+    });
+    frontier.swap(next);
+    const bool live = policy.exec.any_node(
+        n, [&](u32 v) { return !frontier[v].empty(); });
+    if (hybrid_net* net = policy.net) {
+      net->charge_local(items);
+      net->note_local_delivered(items);
+      if (policy.advance) net->advance_round();
+      // Fixed round budgets are part of the protocols: the remaining rounds
+      // are silent but still elapse — unless saturation is detected, which
+      // costs one aggregation.
+      if (!live && policy.advance && r < budget) {
+        const u32 pad =
+            policy.aggregate_exit ? aggregation_rounds(n) : budget - r;
+        for (u32 k = 0; k < pad; ++k) net->advance_round();
+      }
+    }
+    if (!live) break;
+  }
+}
+
+/// Per-node maps flattened into the CSR arena, each node's triples sorted
+/// by key (canonical, thread-count-invariant); without `first_hops` every
+/// first_hop is ~0.
+sparse_exploration_result flatten(round_executor& exec,
+                                  const std::vector<sparse_dist_map>& dist,
+                                  bool first_hops);
+
+/// relax() over the sparse store from `roots`, flattened.
+template <class Neighbors>
+sparse_exploration_result explore_sparse(u32 n, u32 h,
+                                         const std::vector<root>& roots,
+                                         const Neighbors& nbrs,
+                                         const round_policy& policy,
+                                         bool first_hops) {
+  sparse_store store(n);
+  std::vector<std::vector<source_distance>> frontier(n);
+  for (const root& r : roots) store.seed(r.node, r.key, frontier[r.node]);
+  relax(store, frontier, h, nbrs, policy);
+  return flatten(policy.exec, store.dist, first_hops);
+}
+
+// ---- re-offer loop ---------------------------------------------------------
+
+/// One Pareto-minimal (dist, hops) pair a healing node holds for a key,
+/// stamped with the iteration that merged it.
+struct pareto_entry {
+  u64 dist;
+  u32 hops;
+  u32 stamp;
+};
+/// Sorted by dist ascending, hence hops strictly descending.
+using pareto_set = std::vector<pareto_entry>;
+
+inline bool pareto_dominated(const pareto_set* set, u64 dist, u32 hops) {
+  if (set)
+    for (const pareto_entry& e : *set)
+      if (e.dist <= dist && e.hops <= hops) return true;
+  return false;
+}
+
+inline void pareto_insert(pareto_set& set, u64 dist, u32 hops, u32 stamp) {
+  std::erase_if(set, [&](const pareto_entry& e) {
+    return e.dist >= dist && e.hops >= hops;
+  });
+  auto pos = std::lower_bound(
+      set.begin(), set.end(), dist,
+      [](const pareto_entry& e, u64 d) { return e.dist < d; });
+  set.insert(pos, {dist, hops, stamp});
+}
+
+/// Pareto sets offered in key order (Bellman–Ford: keys are source
+/// indices, every node has one slot per source).
+class indexed_sets {
+ public:
+  explicit indexed_sets(u32 width) : sets_(width) {}
+  template <class F>
+  void each(F&& f) const {
+    for (u32 k = 0; k < sets_.size(); ++k) f(k, sets_[k]);
+  }
+  const pareto_set* find(u32 key) const {
+    return sets_[key].empty() ? nullptr : &sets_[key];
+  }
+  pareto_set& at(u32 key) { return sets_[key]; }
+  u32 size() const {
+    return static_cast<u32>(std::count_if(
+        sets_.begin(), sets_.end(),
+        [](const pareto_set& s) { return !s.empty(); }));
+  }
+
+ private:
+  std::vector<pareto_set> sets_;
+};
+
+/// Pareto sets offered in insertion (discovery) order (the exploration
+/// engine: keys are node ids). Insertion order is a pure function of the
+/// merge history, so the offer enumeration is thread-count-invariant.
+/// Lookup is a linear scan — healed runs are test/bench sized and the
+/// referee bounds the held set by the h-ball.
+class insertion_sets {
+ public:
+  template <class F>
+  void each(F&& f) const {
+    for (u32 k = 0; k < keys_.size(); ++k) f(keys_[k], sets_[k]);
+  }
+  const pareto_set* find(u32 key) const {
+    for (u32 k = 0; k < keys_.size(); ++k)
+      if (keys_[k] == key) return &sets_[k];
+    return nullptr;
+  }
+  pareto_set& at(u32 key) {
+    for (u32 k = 0; k < keys_.size(); ++k)
+      if (keys_[k] == key) return sets_[k];
+    keys_.push_back(key);
+    return sets_.emplace_back();
+  }
+  u32 size() const { return static_cast<u32>(keys_.size()); }
+
+ private:
+  std::vector<u32> keys_;
+  std::vector<pareto_set> sets_;
+};
+
+/// Pareto held-set policy (healed Bellman–Ford and exploration). Under
+/// drops a smaller-dist/more-hops pair can arrive before (or instead of) a
+/// fewer-hops one, and only pairs with hops < h may be extended, so keeping
+/// just the best dist per key would lose valid ≤h-hop distances. Each node
+/// keeps the Pareto-minimal pairs per key and offers those with hops < h;
+/// every held pair is realized by a ≤h-hop walk, so at convergence the
+/// fronts are d_h. `ref` is the reliable fixed point, keyed the same way.
+template <class Sets>
+class pareto_held {
+ public:
+  pareto_held(u32 n, u32 h, const std::vector<root>& roots, Sets empty,
+              bool unit_weights, const sparse_exploration_result& ref)
+      : n_(n), h_(h), roots_(roots), empty_(std::move(empty)),
+        unit_(unit_weights), ref_(ref) {}
+
+  void reset() {
+    cur_.assign(n_, empty_);
+    add_.assign(n_, {});
+    for (const root& r : roots_)
+      pareto_insert(cur_[r.node].at(r.key), 0, 0, 0);
+  }
+  /// v pulls e.to's offers: count first (the adversarial mode needs it),
+  /// then one offer per extendable pair.
+  template <class Offer>
+  void pull(u32 v, const edge& e, Offer&& offer) {
+    const Sets& from = cur_[e.to];
+    u32 count = 0;
+    from.each([&](u32, const pareto_set& set) {
+      for (const pareto_entry& pe : set) count += pe.hops < h_;
+    });
+    const u64 w = unit_ ? 1 : e.weight;
+    from.each([&](u32 key, const pareto_set& set) {
+      for (const pareto_entry& pe : set) {
+        if (pe.hops >= h_ || !offer(count, pe.stamp, 1)) continue;
+        const u64 nd = pe.dist + w;
+        const u32 nh = pe.hops + 1;
+        if (!pareto_dominated(cur_[v].find(key), nd, nh))
+          add_[v].push_back({key, nd, nh});
+      }
+    });
+  }
+  bool merge(u32 v, u32 it) {
+    bool changed = false;
+    for (const staged& s : add_[v]) {
+      if (pareto_dominated(cur_[v].find(s.key), s.dist, s.hops)) continue;
+      pareto_insert(cur_[v].at(s.key), s.dist, s.hops, it);
+      changed = true;
+    }
+    add_[v].clear();
+    return changed;
+  }
+  /// The healed support is a subset of the reliable one, so matching key
+  /// counts plus matching front distances on every reference entry means
+  /// the healed state IS the fixed point. Anything less is premature
+  /// stability.
+  const char* referee() const {
+    for (u32 v = 0; v < n_; ++v) {
+      const std::span<const exploration_entry> want = ref_.reached(v);
+      if (cur_[v].size() != want.size())
+        return "stabilized before reaching the h-ball";
+      for (const exploration_entry& e : want) {
+        const pareto_set* set = cur_[v].find(e.source);
+        if (!set || set->front().dist != e.dist)
+          return "stabilized before convergence";
+      }
+    }
+    return nullptr;
+  }
+
+ private:
+  struct staged {
+    u32 key;
+    u64 dist;
+    u32 hops;
+  };
+  u32 n_;
+  u32 h_;
+  const std::vector<root>& roots_;
+  Sets empty_;
+  bool unit_;
+  const sparse_exploration_result& ref_;
+  std::vector<Sets> cur_;
+  /// Acceptances staged per round and merged after the barrier: steps read
+  /// other nodes' cur_ (docs/CONCURRENCY.md).
+  std::vector<std::vector<staged>> add_;
+};
+
+/// Round accounting around reoffer(): the healing budget is
+/// heal_budget_mult · max(rounds, 1) + heal_stability_rounds; after
+/// convergence the counter is padded to `pad_to` (or, with
+/// `aggregate_exit`, by one AND-aggregation) and every round beyond
+/// `nominal` is surfaced as extra_rounds.
+struct heal_spec {
+  const char* what;  ///< primitive name in fault_failure messages
+  u32 rounds;        ///< the fault-free round budget
+  u32 pad_to;
+  u32 nominal;
+  bool aggregate_exit = false;
+  /// Attempts before fault_failure propagates; each retry sees fresh fault
+  /// draws because the round counter moved.
+  u32 attempts = 1;
+};
+
+/// The re-offer loop. `Held` supplies reset() (seed the roots), pull(v, e,
+/// offer) (enumerate e.to's offers to v in policy order, calling
+/// offer(count, stamp, cost) → delivered per item and staging what v
+/// accepts), merge(v, iteration) → changed, and referee() (null when the
+/// converged state is the reliable fixed point, else why it is not — a
+/// fault_failure).
+/// An offer in a later iteration than stamp + 1 is a retransmission
+/// (docs/FAULTS.md §2), counted whether or not the copy is then dropped.
+/// Rounds always advance: a frozen counter would re-roll the same drops
+/// forever, so callers with a frozen budget pass nominal 0 and see every
+/// round as extra_rounds. A final failure surfaces every round spent as
+/// extra_rounds before the fault_failure propagates.
+template <class Held>
+void reoffer(hybrid_net& net, Held& held, const heal_spec& spec) {
+  const graph& g = net.g();
+  const u32 n = g.num_nodes();
+  const fault_options& fo = net.faults();
+  round_executor& exec = net.executor();
+  std::vector<u8> changed(n, 0);
+  std::vector<u64> dropped(n, 0);
+  std::vector<u64> retx(n, 0);
+  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(spec.rounds, 1) +
+                     fo.heal_stability_rounds;
+  u64 spent = 0;
+  for (u32 attempt = 1;; ++attempt) {
+    try {
+      held.reset();
+      u32 quiet = 0;
+      u64 used = 0;
+      while (quiet < fo.heal_stability_rounds) {
+        if (used >= budget)
+          throw fault_failure(std::string(spec.what) +
+                              " healing budget exhausted");
+        const u32 it = static_cast<u32>(++used);
+        const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
+          u64 mine = 0;
+          u64 lost = 0;
+          u64 re = 0;
+          if (net.is_up(v))
+            for (const edge& e : g.neighbors(v)) {
+              u32 idx = 0;
+              held.pull(v, e, [&](u32 count, u32 stamp, u64 cost) {
+                mine += cost;
+                if (stamp + 1 < it) ++re;
+                if (!net.local_drop(e.to, v, idx++, count)) return true;
+                ++lost;
+                return false;
+              });
+            }
+          dropped[v] = lost;
+          retx[v] = re;
+          return mine;
+        });
+        net.charge_local(items);
+        u64 lost = 0;
+        u64 re = 0;
+        for (u32 v = 0; v < n; ++v) {
+          lost += dropped[v];
+          re += retx[v];
+        }
+        net.note_local_delivered(items - lost);
+        net.note_local_dropped(lost);
+        net.note_retransmitted(re);
+        net.advance_round();
+        ++spent;
+        exec.for_nodes(n, [&](u32 v) { changed[v] = held.merge(v, it); });
+        // Progress resets the quiet window; so does any node still down —
+        // a paused node has pulls pending that only run after recovery, so
+        // its silence is not convergence (a never-recovering node pushes
+        // the loop into its budget and an explicit fault_failure).
+        const bool busy =
+            exec.any_node(n, [&](u32 v) { return changed[v] != 0; }) ||
+            (!fo.crashes.empty() &&
+             exec.any_node(n, [&](u32 v) { return !net.is_up(v); }));
+        quiet = busy ? 0 : quiet + 1;
+      }
+      if (const char* why = held.referee())
+        throw fault_failure(std::string(spec.what) + " healing " + why);
+      break;
+    } catch (const fault_failure&) {
+      if (attempt >= spec.attempts) {
+        net.note_extra_rounds(spent);
+        throw;
+      }
+    }
+  }
+  // Round-accounting parity with the reliable path: pad the fixed budget
+  // (or the early-exit detection aggregation), and surface the healing
+  // overshoot. Stability detection itself is simulator-level, like the
+  // reliable path's frontier-emptiness check.
+  if (spec.aggregate_exit) {
+    for (u32 k = aggregation_rounds(n); k > 0; --k) net.advance_round();
+  } else {
+    for (; spent < spec.pad_to; ++spent) net.advance_round();
+  }
+  if (spent > spec.nominal) net.note_extra_rounds(spent - spec.nominal);
+}
+
+}  // namespace hybrid::local_engine

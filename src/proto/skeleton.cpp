@@ -103,10 +103,10 @@ skeleton_result compute_skeleton(hybrid_net& net, double sample_prob,
   };
   u32 attempts = 0;
   for (;;) {
-    // Healing-overhead reconciliation: a failed attempt burns rounds the
-    // primitive never reports (it threw before its accounting epilogue), so
-    // top extra_rounds up to everything actually spent beyond what the
-    // attempt itself noted.
+    // Healing-overhead reconciliation: an attempt that converged to an
+    // asymmetric skeleton is overhead the primitive never saw, so top
+    // extra_rounds up to everything actually spent beyond what the attempt
+    // itself noted.
     const u64 r0 = net.round();
     const u64 x0 = net.raw_metrics().extra_rounds;
     bool converged = true;

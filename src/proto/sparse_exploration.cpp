@@ -1,18 +1,19 @@
-// Sparse h-hop exploration: the dense pull loops of proto/flood.cpp with
-// the n-wide per-node distance vectors replaced by sparse_dist_maps. The
-// round structure, pull order, relaxation condition, frontier filtering,
-// charging, and early-exit round accounting are kept line-for-line
-// equivalent, which is what makes the sparse path bit-identical to the
-// dense one (the differential suite asserts it, triples and metrics both).
+// Sparse h-hop exploration and the healed exploration engine, as thin
+// adapters over proto/local_engine.hpp. sparse_local_exploration runs the
+// relaxation loop over one sparse_dist_map per node; the dense path
+// (proto/flood.cpp) runs the same loop over n-wide rows, so both produce
+// the same triples and charge the same rounds and traffic — the store is
+// the only difference (the differential suite asserts it, triples and
+// metrics both). explore_adjacency is the same loop, free, over an
+// explicit adjacency list; the healed engine is the re-offer loop with
+// Pareto sets in insertion order, refereed by the relaxation loop run free.
 #include "proto/sparse_exploration.hpp"
 
-#include <algorithm>
-#include <tuple>
-
-#include "proto/flood.hpp"
-#include "util/assert.hpp"
+#include "proto/local_engine.hpp"
 
 namespace hybrid {
+
+using namespace local_engine;
 
 namespace {
 
@@ -30,236 +31,16 @@ void require_distinct(const std::vector<u32>& sources, u32 n) {
   HYB_REQUIRE(sorted.empty() || sorted.back() < n, "source out of range");
 }
 
-/// Sequential reliable replica of sparse_local_exploration's round loop —
-/// the healed engine's referee. Pure function of the graph (no simulated
-/// traffic, no randomness): per-node relaxation order, frontier filtering,
-/// and the final source-sorted flatten match the executor path line for
-/// line, so the result is the bit-identical canonical fixed point the
-/// fault-free run would return. `weight_of` abstracts the unit-weight mode
-/// (truncated_eccentricity floods hop counts, not weighted distances).
-sparse_exploration_result reliable_exploration_reference(
-    const graph& g, u32 h, const std::vector<u32>* sources, bool first_hops,
-    bool unit_weights) {
-  const u32 n = g.num_nodes();
-  std::vector<sparse_dist_map> dist(n);
-  std::vector<std::vector<source_distance>> frontier(n);
+/// Roots keyed by node id: every node, or the (distinct) `sources`.
+std::vector<root> node_roots(u32 n, const std::vector<u32>* sources) {
+  std::vector<root> roots;
   if (sources) {
-    for (u32 s : *sources) {
-      dist[s].relax(s, 0, s);
-      frontier[s].push_back({s, 0, s});
-    }
+    require_distinct(*sources, n);
+    for (const u32 s : *sources) roots.push_back({s, s});
   } else {
-    for (u32 v = 0; v < n; ++v) {
-      dist[v].relax(v, 0, v);
-      frontier[v].push_back({v, 0, v});
-    }
+    for (u32 v = 0; v < n; ++v) roots.push_back({v, v});
   }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    bool any = false;
-    for (u32 v = 0; v < n; ++v) {
-      sparse_dist_map& dv = dist[v];
-      for (const edge& e : g.neighbors(v)) {
-        const u64 w = unit_weights ? 1 : e.weight;
-        for (const source_distance& f : frontier[e.to])
-          if (dv.relax(f.source, f.dist + w, e.to))
-            next[v].push_back({f.source, f.dist + w, e.to});
-      }
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
-                                   }),
-                    next[v].end());
-      any = any || !next[v].empty();
-    }
-    frontier = std::move(next);
-    if (!any) break;
-  }
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v)
-    out.offsets[v + 1] = out.offsets[v] + dist[v].size();
-  out.entries.resize(out.offsets[n]);
-  for (u32 v = 0; v < n; ++v) {
-    const std::span<const exploration_entry> src = dist[v].entries();
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    std::copy(src.begin(), src.end(), at);
-    if (!first_hops)
-      for (u32 k = 0; k < src.size(); ++k) at[k].first_hop = ~u32{0};
-    std::sort(at, at + src.size(),
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  }
-  return out;
-}
-
-/// One Pareto-minimal (dist, hops) pair the healed engine holds for a
-/// source, stamped with the merge iteration that accepted it — offering a
-/// pair in any later iteration than stamp + 1 is a retransmission
-/// (docs/FAULTS.md §3's `retransmitted` counter).
-struct healed_pareto_entry {
-  u64 dist;
-  u32 hops;
-  u32 stamp;
-};
-
-/// Per-node healed state: sources in insertion (discovery) order, each with
-/// its dist-ascending / hops-strictly-descending Pareto set. Insertion
-/// order is a pure function of the merge history, which is deterministic
-/// and thread-count-invariant, so the per-edge offer enumeration (and with
-/// it every fault draw index) is too. Lookup is a linear scan — healed runs
-/// are test/bench sized, and the referee bounds the held set by the h-ball.
-struct healed_source_sets {
-  std::vector<u32> sources;
-  std::vector<std::vector<healed_pareto_entry>> sets;
-
-  u32 find(u32 source) const {
-    for (u32 k = 0; k < sources.size(); ++k)
-      if (sources[k] == source) return k;
-    return ~u32{0};
-  }
-  bool dominated(u32 source, u64 dist, u32 hops) const {
-    const u32 k = find(source);
-    if (k == ~u32{0}) return false;
-    for (const healed_pareto_entry& e : sets[k])
-      if (e.dist <= dist && e.hops <= hops) return true;
-    return false;
-  }
-  void insert(u32 source, u64 dist, u32 hops, u32 stamp) {
-    u32 k = find(source);
-    if (k == ~u32{0}) {
-      k = static_cast<u32>(sources.size());
-      sources.push_back(source);
-      sets.emplace_back();
-    }
-    std::vector<healed_pareto_entry>& set = sets[k];
-    set.erase(std::remove_if(set.begin(), set.end(),
-                             [&](const healed_pareto_entry& e) {
-                               return e.dist >= dist && e.hops >= hops;
-                             }),
-              set.end());
-    auto pos = std::lower_bound(set.begin(), set.end(), dist,
-                                [](const healed_pareto_entry& e, u64 d) {
-                                  return e.dist < d;
-                                });
-    set.insert(pos, {dist, hops, stamp});
-  }
-};
-
-/// One self-healing attempt: re-offer rounds until a crash-aware quiet
-/// window, then validate against the referee's fixed point. Returns normally
-/// on success; throws fault_failure on budget exhaustion or premature
-/// stability (the caller retries with fresh fault draws — the round counter
-/// moved). `rounds_spent` accumulates even on throw so the caller can
-/// account every burned round as healing overhead.
-void healed_exploration_attempt(hybrid_net& net, u32 h,
-                                const std::vector<u32>* sources,
-                                bool unit_weights,
-                                const sparse_exploration_result& ref,
-                                u64& rounds_spent) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const fault_options& fo = net.faults();
-  round_executor& exec = net.executor();
-  std::vector<healed_source_sets> cur(n);
-  if (sources) {
-    for (u32 s : *sources) cur[s].insert(s, 0, 0, 0);
-  } else {
-    for (u32 v = 0; v < n; ++v) cur[v].insert(v, 0, 0, 0);
-  }
-  // (source, dist, hops) acceptances staged per round, merged after the
-  // barrier (steps read other nodes' cur, docs/CONCURRENCY.md).
-  std::vector<std::vector<std::tuple<u32, u64, u32>>> add(n);
-  std::vector<u8> changed(n, 0);
-  std::vector<u64> dropped(n, 0);
-  std::vector<u64> retx(n, 0);
-  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(h, 1) +
-                     fo.heal_stability_rounds;
-  u32 quiet = 0;
-  u64 used = 0;
-  while (quiet < fo.heal_stability_rounds) {
-    if (used >= budget)
-      throw fault_failure("local exploration healing budget exhausted");
-    const u32 it = static_cast<u32>(++used);
-    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      add[v].clear();
-      dropped[v] = 0;
-      retx[v] = 0;
-      if (!net.is_up(v)) return 0;
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        // Offered set: every held pair that can still be extended within
-        // the hop budget. Enumerate once for the count (the adversarial
-        // mode needs it), once for the pulls.
-        const healed_source_sets& from = cur[e.to];
-        u32 count = 0;
-        for (const std::vector<healed_pareto_entry>& set : from.sets)
-          for (const healed_pareto_entry& pe : set)
-            if (pe.hops < h) ++count;
-        mine += count;
-        const u64 w = unit_weights ? 1 : e.weight;
-        u32 idx = 0;
-        for (u32 k = 0; k < from.sources.size(); ++k)
-          for (const healed_pareto_entry& pe : from.sets[k]) {
-            if (pe.hops >= h) continue;
-            // A pair first crosses edges in the iteration after its merge;
-            // any later crossing is a retransmission (counted whether or
-            // not this copy is then dropped — it did cross the edge).
-            if (pe.stamp + 1 < it) ++retx[v];
-            if (net.local_drop(e.to, v, idx++, count)) {
-              ++dropped[v];
-              continue;
-            }
-            const u64 nd = pe.dist + w;
-            const u32 nh = pe.hops + 1;
-            if (!cur[v].dominated(from.sources[k], nd, nh))
-              add[v].push_back({from.sources[k], nd, nh});
-          }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    u64 lost = 0;
-    u64 re = 0;
-    for (u32 v = 0; v < n; ++v) {
-      lost += dropped[v];
-      re += retx[v];
-    }
-    net.note_local_delivered(items - lost);
-    net.note_local_dropped(lost);
-    net.note_retransmitted(re);
-    // Rounds always advance, even for advance_rounds=false callers: a
-    // frozen counter would re-roll the same drops forever, so healing needs
-    // real rounds (the caller surfaces them all via note_extra_rounds).
-    net.advance_round();
-    ++rounds_spent;
-    exec.for_nodes(n, [&](u32 v) {
-      changed[v] = 0;
-      for (const auto& [s, nd, nh] : add[v]) {
-        if (cur[v].dominated(s, nd, nh)) continue;
-        cur[v].insert(s, nd, nh, it);
-        changed[v] = 1;
-      }
-    });
-    quiet = heal_next_quiet(net, exec, n, quiet, changed);
-  }
-  // Referee check: the healed support is a subset of the reliable one
-  // (every held pair is realized by a ≤h-hop walk), so matching reached
-  // counts plus matching front distances on every referee entry means the
-  // healed state IS the fixed point. Anything less is premature stability.
-  for (u32 v = 0; v < n; ++v) {
-    const std::span<const exploration_entry> want = ref.reached(v);
-    if (cur[v].sources.size() != want.size())
-      throw fault_failure(
-          "local exploration healing stabilized before reaching the h-ball");
-    for (const exploration_entry& e : want) {
-      const u32 k = cur[v].find(e.source);
-      if (k == ~u32{0} || cur[v].sets[k].front().dist != e.dist)
-        throw fault_failure(
-            "local exploration healing stabilized before convergence");
-    }
-  }
+  return roots;
 }
 
 }  // namespace
@@ -314,111 +95,16 @@ void sparse_dist_map::clear() {
   std::fill(table_.begin(), table_.end(), 0);
 }
 
-sparse_exploration_result healed_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    const std::vector<u32>* sources, bool first_hops, bool unit_weights) {
-  HYB_REQUIRE(net.local_faults_active(),
-              "healed exploration requires an injected local fault plane");
-  const u32 n = net.n();
-  if (sources) require_distinct(*sources, n);
-  // The referee fixed point is computed once — it is a pure function of the
-  // graph, so retries only redraw the fault schedule, never the target.
-  const sparse_exploration_result ref = reliable_exploration_reference(
-      net.g(), h, sources, first_hops, unit_weights);
-  const u64 nominal = advance_rounds ? h : 0;
-  u64 spent = 0;
-  for (u32 attempt = 1;; ++attempt) {
-    try {
-      healed_exploration_attempt(net, h, sources, unit_weights, ref, spent);
-      break;
-    } catch (const fault_failure&) {
-      // Each retry sees fresh fault draws (the round counter moved), so
-      // random schedules converge with overwhelming probability; only
-      // adversarial ones exhaust the retries.
-      if (attempt >= 4) {
-        net.note_extra_rounds(spent);
-        throw;
-      }
-    }
-  }
-  // Round-accounting parity with the reliable path: pad up to the nominal
-  // budget and surface everything beyond it as healing overhead. With
-  // advance_rounds=false the nominal budget is zero — the run-in-parallel
-  // trick is unavailable under faults, so every round spent is overhead.
-  for (; spent < nominal; ++spent) net.advance_round();
-  if (spent > nominal) net.note_extra_rounds(spent - nominal);
-  // Return the referee's canonical triples: bit-identical to the fault-free
-  // run (the healed state was just validated to be the same fixed point,
-  // but its first hops depend on the drop pattern; the referee's do not).
-  return ref;
-}
-
-sparse_exploration_result sparse_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    const std::vector<u32>* sources, bool first_hops) {
-  if (net.local_faults_active())
-    return healed_local_exploration(net, h, advance_rounds, sources,
-                                    first_hops);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  std::vector<sparse_dist_map> dist(n);
-  // As in the dense loops, frontier entries carry the value of the round
-  // that produced them, so information moves exactly one hop per round;
-  // source_distance::source holds the source NODE id here.
-  std::vector<std::vector<source_distance>> frontier(n);
-  if (sources) {
-    require_distinct(*sources, n);
-    for (u32 s : *sources) {
-      dist[s].relax(s, 0, s);
-      frontier[s].push_back({s, 0, s});
-    }
-  } else {
-    for (u32 v = 0; v < n; ++v) {
-      dist[v].relax(v, 0, v);
-      frontier[v].push_back({v, 0, v});
-    }
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      sparse_dist_map& dv = dist[v];
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from)
-          if (dv.relax(f.source, f.dist + e.weight, e.to))
-            next[v].push_back({f.source, f.dist + e.weight, e.to});
-      }
-      // Drop superseded entries — a later, smaller update for the same
-      // source makes earlier queued ones redundant (same filter as the
-      // dense loops; dv is final for the round once this step ends).
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
-  }
-  // Flatten the per-node maps into the CSR arena, each node's triples
-  // sorted by source id (canonical order, thread-count-invariant).
+sparse_exploration_result local_engine::flatten(
+    round_executor& exec, const std::vector<sparse_dist_map>& dist,
+    bool first_hops) {
+  const u32 n = static_cast<u32>(dist.size());
   sparse_exploration_result out;
   out.offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v) out.offsets[v + 1] = out.offsets[v] + dist[v].size();
+  for (u32 v = 0; v < n; ++v)
+    out.offsets[v + 1] = out.offsets[v] + dist[v].size();
   out.entries.resize(out.offsets[n]);
-  net.executor().for_nodes(n, [&](u32 v) {
+  exec.for_nodes(n, [&](u32 v) {
     const std::span<const exploration_entry> src = dist[v].entries();
     exploration_entry* at = out.entries.data() + out.offsets[v];
     std::copy(src.begin(), src.end(), at);
@@ -430,6 +116,43 @@ sparse_exploration_result sparse_local_exploration(
               });
   });
   return out;
+}
+
+sparse_exploration_result healed_local_exploration(
+    hybrid_net& net, u32 h, bool advance_rounds,
+    const std::vector<u32>* sources, bool first_hops, bool unit_weights) {
+  HYB_REQUIRE(net.local_faults_active(),
+              "healed exploration requires an injected local fault plane");
+  const u32 n = net.n();
+  const std::vector<root> roots = node_roots(n, sources);
+  // The referee fixed point is computed once — it is a pure function of the
+  // graph, so retries only redraw the fault schedule, never the target —
+  // and it is what gets returned: bit-identical to the fault-free run (the
+  // healed state is validated to be the same fixed point, but its first
+  // hops depend on the drop pattern; the referee's do not).
+  const graph_edges edges{net.g(), unit_weights};
+  const sparse_exploration_result ref = explore_sparse(
+      n, h, roots, edges, round_policy::free(net.executor()), first_hops);
+  pareto_held held(n, h, roots, insertion_sets{}, unit_weights, ref);
+  // Nominal budget h when advancing, 0 when not: the run-in-parallel trick
+  // is unavailable under faults, so every round spent is then overhead.
+  // Random schedules converge with overwhelming probability within four
+  // attempts; only adversarial ones exhaust them.
+  const u32 nominal = advance_rounds ? h : 0;
+  reoffer(net, held, {"local exploration", h, nominal, nominal, false, 4});
+  return ref;
+}
+
+sparse_exploration_result sparse_local_exploration(
+    hybrid_net& net, u32 h, bool advance_rounds,
+    const std::vector<u32>* sources, bool first_hops) {
+  if (net.local_faults_active())
+    return healed_local_exploration(net, h, advance_rounds, sources,
+                                    first_hops);
+  return explore_sparse(net.n(), h, node_roots(net.n(), sources),
+                        graph_edges{net.g()},
+                        round_policy::charged(net, advance_rounds),
+                        first_hops);
 }
 
 sparse_exploration_result dense_local_exploration(
@@ -483,48 +206,8 @@ sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex) {
   const u32 n = static_cast<u32>(adj.size());
-  std::vector<sparse_dist_map> dist(n);
-  // Same pull-based frontier as sparse_local_exploration, minus the net:
-  // frontier entries carry the value of the iteration that produced them,
-  // so information moves one hop per iteration; `source` is the vertex
-  // index of `adj` (its own id space).
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 v = 0; v < n; ++v) {
-    dist[v].relax(v, 0, v);
-    frontier[v].push_back({v, 0, v});
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    ex.for_nodes(n, [&](u32 v) {
-      sparse_dist_map& dv = dist[v];
-      for (const auto& [to, w] : adj[v])
-        for (const source_distance& f : frontier[to])
-          if (dv.relax(f.source, f.dist + w, to))
-            next[v].push_back({f.source, f.dist + w, to});
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
-                                   }),
-                    next[v].end());
-    });
-    frontier = std::move(next);
-    if (!ex.any_node(n, [&](u32 v) { return !frontier[v].empty(); })) break;
-  }
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v)
-    out.offsets[v + 1] = out.offsets[v] + dist[v].size();
-  out.entries.resize(out.offsets[n]);
-  ex.for_nodes(n, [&](u32 v) {
-    const std::span<const exploration_entry> src = dist[v].entries();
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    std::copy(src.begin(), src.end(), at);
-    std::sort(at, at + src.size(),
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  });
-  return out;
+  return explore_sparse(n, h, node_roots(n, nullptr), adjacency_list{adj},
+                        round_policy::free(ex), true);
 }
 
 sparse_exploration_result run_local_exploration(hybrid_net& net, u32 h,

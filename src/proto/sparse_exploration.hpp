@@ -16,11 +16,11 @@
 //   * the sparse path produces the same (source, dist, first_hop) triples
 //     as the dense path, bit for bit, at every thread count;
 //   * it charges the same local traffic and advances the same rounds —
-//     the round loop is structurally identical, only the per-node distance
-//     storage differs;
+//     both paths run the one relaxation loop of proto/local_engine.hpp,
+//     only the per-node store differs (sparse_dist_map vs dense rows);
 //   * tie-breaks are identical: the first neighbor in sorted adjacency
 //     order that strictly improves a source's distance becomes the first
-//     hop, exactly as in the dense pull loops (docs/CONCURRENCY.md §3).
+//     hop (docs/CONCURRENCY.md §3).
 #pragma once
 
 #include <span>
@@ -129,8 +129,9 @@ sparse_exploration_result run_local_exploration(
 /// weight) pairs; entries come back sorted by source INDEX (the vertices of
 /// `adj` are their own id space), first_hop = the producing neighbor index
 /// (self at the source). Deterministic and bit-identical at every thread
-/// count of `ex` — the relaxation loop is the pull-based frontier of
-/// limited_bellman_ford with per-node state private to each for_nodes item.
+/// count of `ex` — it is the same relaxation loop, run without a network
+/// over the adjacency list, with per-node state private to each node's
+/// step.
 sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex);
@@ -138,13 +139,15 @@ sparse_exploration_result explore_adjacency(
 /// Self-healing h-hop exploration for a faulty local plane (docs/FAULTS.md
 /// §3) — the engine behind every exploration entry point (sparse, dense,
 /// full_local_exploration, truncated_eccentricity) once
-/// hybrid_net::local_faults_active(). Same correct-or-explicitly-failed
-/// contract as the healed floods: per node it keeps Pareto-minimal
-/// (dist, hops) sets per source with per-entry epoch stamps, re-offers every
-/// extendable entry each round (stamped re-offers count as retransmitted)
-/// until a crash-aware quiet window, then validates the converged state
-/// against a sequential reliable recomputation of the ball-triple fixed
-/// point Σ|ball_h(v)| and throws fault_failure on premature stability —
+/// hybrid_net::local_faults_active(). It is the re-offer loop of
+/// proto/local_engine.hpp with Pareto sets in insertion order, under the
+/// same correct-or-explicitly-failed contract as the healed floods: per
+/// node it keeps Pareto-minimal (dist, hops) sets per source with
+/// per-entry epoch stamps, re-offers every extendable entry each round
+/// (stamped re-offers count as retransmitted) until a crash-aware quiet
+/// window, then validates the converged state against the reliable
+/// relaxation loop's ball-triple fixed point Σ|ball_h(v)| (run without a
+/// network) and throws fault_failure on premature stability —
 /// retrying up to four times with fresh fault draws (the round counter
 /// moved) before giving up. On success it returns the referee's canonical
 /// triples, so the result is bit-identical to the fault-free run, vias and

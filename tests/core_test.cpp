@@ -94,25 +94,30 @@ INSTANTIATE_TEST_SUITE_P(Graphs, SsspExactness,
 
 // ---- Theorem 4.1 / 1.2: k-SSP approximations ---------------------------------
 
+// The fields are laid out so the struct has no padding: ctest names each case
+// after the raw bytes gtest prints for it, and padding bytes are
+// indeterminate, which would make the case names change from run to run.
 struct kssp_case {
   int graph_kind;
+  injection inject;
   u64 max_w;  // 1 = unweighted
-  bool inject;
+  u64 n;
 };
+static_assert(sizeof(kssp_case) ==
+              sizeof(int) + sizeof(injection) + 2 * sizeof(u64));
 
 class KsspApprox : public ::testing::TestWithParam<kssp_case> {};
 
 TEST_P(KsspApprox, WithinProvenBounds) {
   const kssp_case c = GetParam();
-  const graph g = make_graph(c.graph_kind, 192, c.max_w, 7);
+  const graph g = make_graph(c.graph_kind, static_cast<u32>(c.n), c.max_w, 7);
   const u32 n = g.num_nodes();
   // k ≈ n^{1/3} sources (Corollary 4.6's regime).
   const u32 k = static_cast<u32>(std::cbrt(static_cast<double>(n))) + 2;
   rng r(17);
   std::vector<u32> sources = r.sample_without_replacement(n, k);
 
-  const auto alg = make_clique_kssp_1eps(
-      0.25, c.inject ? injection::worst_case : injection::none);
+  const auto alg = make_clique_kssp_1eps(0.25, c.inject);
   const kssp_result res = hybrid_kssp(g, cfg(), 7, sources, alg);
 
   const auto ref = multi_source_reference(g, sources);
@@ -131,9 +136,12 @@ TEST_P(KsspApprox, WithinProvenBounds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, KsspApprox,
-    ::testing::Values(kssp_case{0, 1, false}, kssp_case{0, 1, true},
-                      kssp_case{0, 9, false}, kssp_case{0, 9, true},
-                      kssp_case{1, 1, true}, kssp_case{2, 6, true}));
+    ::testing::Values(kssp_case{0, injection::none, 1, 192},
+                      kssp_case{0, injection::worst_case, 1, 192},
+                      kssp_case{0, injection::none, 9, 192},
+                      kssp_case{0, injection::worst_case, 9, 192},
+                      kssp_case{1, injection::worst_case, 1, 192},
+                      kssp_case{2, injection::worst_case, 6, 192}));
 
 TEST(Kssp, ExactWhenNoInjectionAndAlphaOne) {
   // α = 1, β = 0, single source in skeleton ⇒ exact (Lemma 4.5).

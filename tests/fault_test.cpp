@@ -466,6 +466,33 @@ TEST(FaultHealing, HealedFloodDeterministicAcrossThreads) {
   EXPECT_EQ(run(8), base);
 }
 
+TEST(FaultHealing, HealedFloodsCountRetransmissions) {
+  // docs/FAULTS.md §2: `retransmitted` counts every re-send by a healing
+  // layer. The healed hop flood, table flood and Bellman–Ford re-offer
+  // their whole held set every round, so each must report re-sends — the
+  // same count at every thread count — with the local ledger balanced.
+  const u32 n = 32;
+  const graph g = gen::erdos_renyi_connected(n, 3.0, 5, 19);
+  const std::vector<u32> roots = {0, 9, 21};
+  const std::vector<u64> words = {4, 4, 4};
+  for (const int primitive : {0, 1, 2}) {
+    u64 base = 0;
+    for (const u32 threads : {1u, 2u, 8u}) {
+      hybrid_net net(g, default_cfg(), 13,
+                     with_faults(drop_local_opts(0.3, 6), threads));
+      if (primitive == 0) hop_discovery(net, roots, 8);
+      if (primitive == 1) table_flood(net, roots, words, 8);
+      if (primitive == 2) limited_bellman_ford(net, roots, 8);
+      const run_metrics m = net.raw_metrics();
+      EXPECT_GT(m.retransmitted, 0u) << primitive << " threads=" << threads;
+      EXPECT_EQ(m.local_items, m.local_delivered + m.local_dropped)
+          << primitive << " threads=" << threads;
+      if (threads == 1) base = m.retransmitted;
+      EXPECT_EQ(m.retransmitted, base) << primitive << " threads=" << threads;
+    }
+  }
+}
+
 TEST(FaultHealing, OnlyDocumentedStageRefusesAndNamesRemediation) {
   // Exactly one fault_unsupported case remains (docs/FAULTS.md §3): the
   // charged routing stand-in

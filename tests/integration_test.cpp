@@ -193,10 +193,14 @@ TEST(Integration, DiameterBranchSwitchesWithEta) {
 
 // ---- exactness across the full family matrix ---------------------------------
 
+// `kind` is 8 bytes wide so the struct has no padding: ctest names each case
+// after the raw bytes gtest prints for it, and padding bytes are
+// indeterminate, which would make the case names change from run to run.
 struct family_case {
-  int kind;
+  i64 kind;
   u64 max_w;
 };
+static_assert(sizeof(family_case) == 2 * sizeof(u64));
 
 class ApspFamilyMatrix : public ::testing::TestWithParam<family_case> {};
 

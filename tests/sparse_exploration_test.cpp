@@ -7,6 +7,9 @@
 // sparse_dist_map unit semantics. Runs in the TSAN CI job at 8 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/apsp.hpp"
@@ -14,6 +17,7 @@
 #include "core/kssp_framework.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "proto/flood.hpp"
 #include "proto/sparse_exploration.hpp"
 
 namespace hybrid {
@@ -73,6 +77,51 @@ graph disconnected_graph() {
   return graph::from_edges(9, edges);
 }
 
+/// The seen-bitset floods against the exploration on an unweighted graph,
+/// every node a seed / publisher / hello source. A unit flood's first
+/// arrival is final, so hop_discovery, table_flood (one word per table)
+/// and truncated_eccentricity must reach exactly the h-ball with hop =
+/// dist, in the same rounds and with the same local items as
+/// run_local_exploration on both paths, at every tested thread count.
+void unit_flood_differential(const graph& g, u32 h) {
+  const u32 n = g.num_nodes();
+  std::vector<u32> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), 0u);
+  const std::vector<u64> words(n, 1);
+  for (u32 threads : {1u, 2u, 8u})
+    for (exploration_path path :
+         {exploration_path::kDense, exploration_path::kSparse}) {
+      const run_out want = run_path(g, h, true, threads, path);
+      hybrid_net hop_net(g, cfg(), 1, opts(threads, path));
+      const auto known = hop_discovery(hop_net, everyone, h);
+      hybrid_net table_net(g, cfg(), 1, opts(threads, path));
+      const auto holds = table_flood(table_net, everyone, words, h);
+      hybrid_net ecc_net(g, cfg(), 1, opts(threads, path));
+      const std::vector<u32> ecc = truncated_eccentricity(ecc_net, h);
+      for (u32 v = 0; v < n; ++v) {
+        std::vector<std::pair<u32, u64>> ball, heard;
+        std::vector<u32> ids, tables(holds[v]);
+        u64 far = 0;
+        for (const exploration_entry& e : want.res.reached(v)) {
+          ball.push_back({e.source, e.dist});
+          ids.push_back(e.source);
+          far = std::max(far, e.dist);
+        }
+        for (const discovered_seed& d : known[v])
+          heard.push_back({d.seed, d.hop});
+        std::sort(heard.begin(), heard.end());
+        std::sort(tables.begin(), tables.end());
+        ASSERT_EQ(heard, ball) << "node " << v << " threads=" << threads;
+        ASSERT_EQ(tables, ids) << "node " << v << " threads=" << threads;
+        ASSERT_EQ(ecc[v], far) << "node " << v << " threads=" << threads;
+      }
+      for (const hybrid_net* net : {&hop_net, &table_net, &ecc_net}) {
+        EXPECT_EQ(net->raw_metrics().rounds, want.m.rounds);
+        EXPECT_EQ(net->raw_metrics().local_items, want.m.local_items);
+      }
+    }
+}
+
 // ---- randomized differential runs --------------------------------------------
 
 TEST(SparseExplorationDiff, ErdosRenyiRandomized) {
@@ -109,6 +158,19 @@ TEST(SparseExplorationDiff, DisconnectedWithIsolatedVertices) {
   }
   for (const exploration_entry& e : got.res.reached(0))
     EXPECT_LT(e.source, 4u);  // path component only
+}
+
+TEST(SparseExplorationDiff, UnitFloodsMatchExploration) {
+  unit_flood_differential(gen::erdos_renyi_connected(60, 3.5, 1, 17), 3);
+  unit_flood_differential(gen::erdos_renyi_connected(90, 5.0, 1, 18), 6);
+  // h = 20 outlasts the grid's diameter (14): saturation padding too.
+  unit_flood_differential(gen::grid(8, 8, 1, 21), 5);
+  unit_flood_differential(gen::grid(8, 8, 1, 21), 20);
+  unit_flood_differential(gen::balanced_tree(48, 47, 1, 9), 2);
+  const graph disconnected = graph::from_edges(
+      9, std::vector<edge_spec>{{0, 1, 1}, {1, 2, 1}, {2, 3, 1},
+                                {4, 5, 1}, {5, 6, 1}, {4, 6, 1}});
+  unit_flood_differential(disconnected, 4);
 }
 
 TEST(SparseExplorationDiff, SourceSubset) {
