@@ -50,35 +50,45 @@ struct oracle_run {
   bool peak_valid = false;  ///< reset took; otherwise peak_mb is stale
 };
 
+/// Knobs of run_oracle beyond the hop budget. `p` overrides the level-1
+/// sampling probability (0 keeps the 1/√n default); `p2`/`h1` configure the
+/// super-skeleton when `two_level` is set (0 keeps the pipeline defaults).
+/// `charged_routing` runs token routing as the charged stand-in (DESIGN.md
+/// deviation 9). The exact helper-set simulation is cheap here: on these
+/// inputs n = 4096 takes 2.5 s / 227 MB and n = 8192 7.7 s / 771 MB
+/// (4 threads). The stand-in charges 19–25× more rounds than the exact path
+/// but keeps the n = 10⁵ run inside its memory budget: a single cluster's
+/// member lists are Σ|C|² entries.
+struct oracle_knobs {
+  double p = 0.0;
+  bool two_level = false;
+  double p2 = 0.0;
+  u32 h1 = 0;
+  bool charged_routing = true;
+};
+
 /// Label-only APSP with the skeleton hop budget pinned to `target_h`
 /// (skeleton_xi back-solved from h = ⌈ξ·√n·ln n⌉): the practical
 /// sparse-graph parameterization — h of a few hops keeps the balls, and
 /// with them the labels, small (Feldmann et al. 2020's regime; the paper's
 /// Õ(√n) h is a w.h.p. worst-case budget, not a memory-friendly one).
-/// Token routing runs as the charged stand-in (DESIGN.md deviation 9): at
-/// µ ≈ √n ≫ graph diameter the exact helper-cluster simulation is Θ(n²)
-/// memory, so its budgets are charged in closed form instead.
-/// Optional two-level knobs: `p` overrides the level-1 sampling probability
-/// (0 keeps the 1/√n default), and `p2`/`h1` configure the super-skeleton
-/// when `two_level` is set (0 keeps the pipeline defaults).
 oracle_run run_oracle(const graph& g, u32 target_h, u64 seed, bool routes,
-                      double p = 0.0, bool two_level = false, double p2 = 0.0,
-                      u32 h1 = 0) {
+                      const oracle_knobs& k = {}) {
   oracle_run out;
   out.peak_valid = benchrss::reset_peak_rss();
   const double n = static_cast<double>(g.num_nodes());
   model_config cfg;
   // Back-solve h = ⌈ξ·(1/p)·ln n⌉ = target_h at the p actually in force.
-  const double p_eff = p > 0.0 ? p : 1.0 / std::sqrt(n);
+  const double p_eff = k.p > 0.0 ? k.p : 1.0 / std::sqrt(n);
   cfg.skeleton_xi = (static_cast<double>(target_h) - 0.25) * p_eff /
                     std::log(n);
-  cfg.skeleton_p_override = p;
-  cfg.super_p_override = p2;
-  cfg.super_h_override = h1;
-  cfg.charged_token_routing = true;
+  cfg.skeleton_p_override = k.p;
+  cfg.super_p_override = k.p2;
+  cfg.super_h_override = k.h1;
+  cfg.charged_token_routing = k.charged_routing;
   sim_options o;
   o.storage = result_storage::kLabels;
-  o.hierarchy = two_level ? oracle_hierarchy::kTwoLevel
+  o.hierarchy = k.two_level ? oracle_hierarchy::kTwoLevel
                           : oracle_hierarchy::kSingleLevel;
   out.wall_ms =
       timed_ms([&] { out.res = hybrid_apsp_exact(g, cfg, seed, routes, o); });
@@ -371,6 +381,33 @@ int main(int argc, char** argv) {
     if (run.peak_valid) fields.push_back({"peak_mem_mb", run.peak_mb});
     rec.add("label_oracle", std::move(fields));
   }
+  {
+    // The label_oracle inputs at n = 4096 with token routing simulated
+    // message by message (helper-set cluster floods included) instead of
+    // charged: the exact path's memory bar.
+    const u32 n_exact = 4096;
+    const graph g = gen::bounded_degree(n_exact, 3, 1, 42);
+    const oracle_run run =
+        run_oracle(g, 8, 7, /*routes=*/true, {.charged_routing = false});
+    t5.add_row({"exact_routing", table::integer(n_exact),
+                table::integer(run.res.labels.h),
+                table::integer(static_cast<long long>(run.res.metrics.rounds)),
+                table::integer(
+                    static_cast<long long>(run.res.labels.label_entries())),
+                "-", "-", "-", "-", "-", "-", "-", table::num(run.wall_ms, 0),
+                run.peak_valid ? table::num(run.peak_mb, 0) : "-"});
+    std::vector<bench_field> fields = {
+        {"n", n_exact},
+        {"h", run.res.labels.h},
+        {"rounds", run.res.metrics.rounds},
+        {"messages", run.res.metrics.global_messages},
+        {"wall_ms", run.wall_ms}};
+    if (run.peak_valid) fields.push_back({"peak_mem_mb", run.peak_mb});
+    rec.add("exact_routing", std::move(fields));
+    if (run.peak_valid)
+      HYB_INVARIANT(run.peak_mb < 512.0,
+                    "exact token routing exceeded the 512 MB peak-RSS budget");
+  }
   if (n_large > 0) {
     const graph g = gen::bounded_degree(n_large, 3, 1, 42);
     // Two-level hierarchy: a denser level-1 skeleton (p₁ = 0.08, so h = 5
@@ -379,8 +416,9 @@ int main(int argc, char** argv) {
     // pushed down to a p₂ = 0.05 super-skeleton (n_s2 ≈ 400) — queries
     // compose through both gateway layers (ARCHITECTURE.md, "two-level
     // hierarchy").
-    oracle_run run = run_oracle(g, 5, 13, /*routes=*/false, /*p=*/0.08,
-                                /*two_level=*/true, /*p2=*/0.05, /*h1=*/3);
+    oracle_run run = run_oracle(
+        g, 5, 13, /*routes=*/false,
+        {.p = 0.08, .two_level = true, .p2 = 0.05, .h1 = 3});
     const dist_labels& lab = run.res.labels;
     const label_diameter_estimate est = diameter_estimate_from_labels(lab);
     const sampled_accuracy acc = sample_rows(g, lab, 8, 5);

@@ -7,9 +7,9 @@
 // depth, e.g. for setting flooding TTLs in IP routing.
 //
 //   ./examples/diameter_estimation [rows] [cols] [seed]
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "core/diameter.hpp"
 #include "graph/diameter.hpp"
 #include "graph/generators.hpp"
@@ -42,9 +42,12 @@ int main(int argc, char** argv) {
   // Default 28×28 keeps both pipeline branches exercised while staying
   // under ~2 s, so the CTest smoke run of this example no longer dominates
   // the suite's wall-clock; pass e.g. `40 40` for the paper-sized city.
-  const u32 rows = argc > 1 ? static_cast<u32>(std::atoi(argv[1])) : 28;
-  const u32 cols = argc > 2 ? static_cast<u32>(std::atoi(argv[2])) : 28;
-  const u64 seed = argc > 3 ? static_cast<u64>(std::atoll(argv[3])) : 3;
+  const cli::args args(argc, argv, "[rows] [cols] [seed]  (rows*cols >= 2)",
+                       3);
+  const u32 rows = static_cast<u32>(args.get(1, 28, 1, cli::kMaxNodes));
+  const u32 cols = static_cast<u32>(args.get(2, 28, 1, cli::kMaxNodes));
+  const u64 seed = args.get(3, 3);
+  if (u64{rows} * cols < 2 || u64{rows} * cols > cli::kMaxNodes) args.fail();
 
   std::cout << "Diameter estimation demo (Theorem 1.4)\n";
   const graph g = make_city(rows, cols, seed);

@@ -11,9 +11,9 @@
 //   ./examples/kssp_landmarks [n] [seed]
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "core/kssp_framework.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
@@ -21,8 +21,10 @@
 
 int main(int argc, char** argv) {
   using namespace hybrid;
-  const u32 n = argc > 1 ? static_cast<u32>(std::atoi(argv[1])) : 512;
-  const u64 seed = argc > 2 ? static_cast<u64>(std::atoll(argv[2])) : 5;
+  // n >= 4: the demo samples max(4, n^{1/3}) landmarks.
+  const cli::args args(argc, argv, "[n>=4] [seed]", 2);
+  const u32 n = static_cast<u32>(args.get(1, 512, 4, cli::kMaxNodes));
+  const u64 seed = args.get(2, 5);
 
   std::cout << "Landmark distance oracle demo (k-SSP, Theorem 1.2)\n";
   const graph g = gen::random_geometric(n, 8.0, 8, seed);

@@ -3,9 +3,9 @@
 // against a centralized Dijkstra.
 //
 //   ./examples/quickstart [n] [seed]
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "core/apsp.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
@@ -13,8 +13,9 @@
 
 int main(int argc, char** argv) {
   using namespace hybrid;
-  const u32 n = argc > 1 ? static_cast<u32>(std::atoi(argv[1])) : 256;
-  const u64 seed = argc > 2 ? static_cast<u64>(std::atoll(argv[2])) : 1;
+  const cli::args args(argc, argv, "[n>=2] [seed]", 2);
+  const u32 n = static_cast<u32>(args.get(1, 256, 2, cli::kMaxNodes));
+  const u64 seed = args.get(2, 1);
 
   std::cout << "HYBRID model quickstart — exact APSP (Theorem 1.1)\n";
   const graph g = gen::erdos_renyi_connected(n, 6.0, /*max_weight=*/16, seed);

@@ -9,9 +9,9 @@
 // distance.
 //
 //   ./examples/routing_tables [n] [seed]
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "core/apsp.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
@@ -19,8 +19,9 @@
 
 int main(int argc, char** argv) {
   using namespace hybrid;
-  const u32 n = argc > 1 ? static_cast<u32>(std::atoi(argv[1])) : 200;
-  const u64 seed = argc > 2 ? static_cast<u64>(std::atoll(argv[2])) : 9;
+  const cli::args args(argc, argv, "[n>=2] [seed]", 2);
+  const u32 n = static_cast<u32>(args.get(1, 200, 2, cli::kMaxNodes));
+  const u64 seed = args.get(2, 9);
 
   std::cout << "Routing-table demo (Theorem 1.1 + one distance-vector "
                "round)\n";

@@ -5,17 +5,18 @@
 //
 //   ./examples/token_routing_demo [n] [seed]
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "graph/generators.hpp"
 #include "proto/token_routing.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace hybrid;
-  const u32 n = argc > 1 ? static_cast<u32>(std::atoi(argv[1])) : 512;
-  const u64 seed = argc > 2 ? static_cast<u64>(std::atoll(argv[2])) : 7;
+  const cli::args args(argc, argv, "[n>=2] [seed]", 2);
+  const u32 n = static_cast<u32>(args.get(1, 512, 2, cli::kMaxNodes));
+  const u64 seed = args.get(2, 7);
 
   std::cout << "Token routing demo (Theorem 2.2)\n";
   const graph g = gen::erdos_renyi_connected(n, 6.0, 1, seed);

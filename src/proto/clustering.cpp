@@ -1,10 +1,10 @@
 #include "proto/clustering.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "proto/aggregation.hpp"
 #include "proto/flood.hpp"
+#include "proto/local_engine.hpp"
 #include "util/assert.hpp"
 
 namespace hybrid {
@@ -50,55 +50,31 @@ cluster_decomposition compute_clusters(hybrid_net& net,
   return cd;
 }
 
-std::vector<std::vector<item128>> cluster_flood(
-    hybrid_net& net, const cluster_decomposition& cd,
-    std::vector<std::vector<item128>> initial, u32 rounds) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  HYB_REQUIRE(initial.size() == n, "initial items must cover every node");
-
-  std::vector<std::unordered_set<item128, item128_hash>> seen(n);
-  std::vector<std::vector<item128>> known(n);
-  std::vector<std::vector<item128>> frontier(n);
-  for (u32 v = 0; v < n; ++v) {
-    for (const item128& it : initial[v]) {
-      if (seen[v].insert(it).second) {
-        known[v].push_back(it);
-        frontier[v].push_back(it);
-      }
-    }
-  }
-  for (u32 r = 0; r < rounds; ++r) {
-    std::vector<std::vector<item128>> next(n);
-    u64 items = 0;
-    bool any = false;
-    for (u32 v = 0; v < n; ++v) {
-      if (frontier[v].empty()) continue;
-      for (const edge& e : g.neighbors(v)) {
-        if (cd.cluster_of[e.to] != cd.cluster_of[v]) continue;
-        items += frontier[v].size();
-        for (const item128& it : frontier[v]) {
-          if (seen[e.to].insert(it).second) {
-            known[e.to].push_back(it);
-            next[e.to].push_back(it);
-            any = true;
-          }
-        }
-      }
-    }
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier = std::move(next);
-    if (!any) {
-      // Saturated early: detecting that globally costs one aggregation.
-      for (u32 extra = aggregation_rounds(n); extra > 0 && r + 1 < rounds;
-           --extra)
-        net.advance_round();
-      break;
-    }
-  }
-  return known;
+std::vector<std::vector<u32>> cluster_flood(hybrid_net& net,
+                                            const cluster_decomposition& cd,
+                                            const std::vector<u32>& roots,
+                                            const std::vector<u64>* words,
+                                            u32 rounds, bool keep) {
+  const u32 n = net.n();
+  for (const u32 r : roots) HYB_REQUIRE(r < n, "flood root out of range");
+  HYB_REQUIRE(!words || words->size() == roots.size(),
+              "each flooded item needs a word count");
+  // Arrival order (which the helper-join draws follow) is sorted-adjacency
+  // pull order, thread-count-invariant (docs/CONCURRENCY.md §3). No drop
+  // model: under local faults it still delivers in full (docs/FAULTS.md §3).
+  std::vector<std::vector<u32>> heard(keep ? n : 0);
+  std::vector<std::vector<u32>> frontier(n);
+  local_engine::seen_store store(
+      n, static_cast<u32>(roots.size()), words, [&](u32 v, u32 i, u32) {
+        if (keep) heard[v].push_back(i);
+      });
+  for (u32 i = 0; i < roots.size(); ++i)
+    store.seed(roots[i], i, frontier[roots[i]]);
+  local_engine::relax(store, frontier, rounds,
+                      local_engine::cluster_edges{net.g(), cd.cluster_of},
+                      local_engine::round_policy::charged(
+                          net, true, /*aggregate_exit=*/true));
+  return heard;
 }
 
 }  // namespace hybrid

@@ -35,27 +35,17 @@ struct cluster_decomposition {
 cluster_decomposition compute_clusters(hybrid_net& net,
                                        const ruling_set_result& rs);
 
-/// 128-bit opaque item for intra-cluster flooding.
-struct item128 {
-  u64 a = 0;
-  u64 b = 0;
-  friend bool operator==(const item128&, const item128&) = default;
-};
-
-struct item128_hash {
-  std::size_t operator()(const item128& x) const {
-    u64 h = x.a * 0x9e3779b97f4a7c15ULL ^ (x.b + 0x517cc1b727220a95ULL);
-    h ^= h >> 29;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
-/// Flood items within clusters for `rounds` rounds (items never cross
-/// cluster boundaries). Returns everything each node has heard, own items
-/// included. 2β+1 rounds reach the whole cluster.
-std::vector<std::vector<item128>> cluster_flood(
-    hybrid_net& net, const cluster_decomposition& cd,
-    std::vector<std::vector<item128>> initial, u32 rounds);
+/// Flood items within clusters for `rounds` rounds (items never cross a
+/// cluster boundary); 2β+1 rounds reach the whole cluster. Item i starts at
+/// node roots[i] and is charged words[i] local items per edge crossing (one
+/// when `words` is null). Returns per node the indices of the items it
+/// heard, own items first, in arrival order; with `keep` false nothing is
+/// recorded and the result is empty (a flood that only pays its traffic).
+/// A saturated flood exits early for one charged AND-aggregation.
+std::vector<std::vector<u32>> cluster_flood(hybrid_net& net,
+                                            const cluster_decomposition& cd,
+                                            const std::vector<u32>& roots,
+                                            const std::vector<u64>* words,
+                                            u32 rounds, bool keep = true);
 
 }  // namespace hybrid

@@ -26,11 +26,12 @@
 //                            leak, because the content is identical for all
 //                            recipients.
 //
-// All primitives run over the whole graph; restricting propagation to a
-// cluster is done by the clustering utilities (proto/clustering.hpp).
+// All primitives run over the whole graph; the cluster-restricted flood of
+// the helper-set construction is cluster_flood (proto/clustering.hpp).
 // Each one is a thin adapter over the two loops of proto/local_engine.hpp:
 // the relaxation loop on a reliable local plane, the re-offer loop under
-// local-plane faults (docs/FAULTS.md §3).
+// local-plane faults (docs/FAULTS.md §3). cluster_flood adapts the
+// relaxation loop too, on either plane.
 #pragma once
 
 #include <memory>

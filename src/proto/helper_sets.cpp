@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "proto/ruling_set.hpp"
 #include "util/assert.hpp"
@@ -38,22 +39,20 @@ helper_family compute_helpers(hybrid_net& net, const std::vector<u32>& w_set,
   fam.clusters = compute_clusters(net, rs);
   const cluster_decomposition& cd = fam.clusters;
 
-  // Every node learns the W-members and size of its own cluster: flood
-  // (node, in_W) records inside clusters for 2β+1 rounds (Algorithm 1's
-  // "learn all members of C_r" loop).
+  // Every node learns the members of its own cluster, hence its W-members
+  // and size: item v starts at node v and floods inside clusters for 2β+1
+  // rounds (Algorithm 1's "learn all members of C_r" loop).
   std::vector<u32> w_index_of(n, ~u32{0});
   for (u32 i = 0; i < w_set.size(); ++i) {
     HYB_REQUIRE(w_set[i] < n, "W member out of range");
     w_index_of[w_set[i]] = i;
   }
-  std::vector<std::vector<item128>> init(n);
-  for (u32 v = 0; v < n; ++v)
-    init[v].push_back(
-        {(u64{v} << 1) | (w_index_of[v] != ~u32{0} ? 1 : 0), 0});
-  const auto heard =
-      cluster_flood(net, cd, std::move(init), cd.flood_budget());
+  std::vector<u32> self(n);
+  std::iota(self.begin(), self.end(), u32{0});
+  auto heard = cluster_flood(net, cd, self, nullptr, cd.flood_budget());
 
-  // Join decisions (Algorithm 1, last loop).
+  // Join decisions (Algorithm 1, last loop): one draw per W-member heard,
+  // in arrival order.
   const double q_mult = net.config().helper_q_mult;
   for (u32 v = 0; v < n; ++v) {
     const u64 cluster_size = heard[v].size();
@@ -61,25 +60,30 @@ helper_family compute_helpers(hybrid_net& net, const std::vector<u32>& w_set,
     const double q =
         std::min(q_mult * mu / static_cast<double>(cluster_size), 1.0);
     rng& rv = net.node_rng(v);
-    for (const item128& it : heard[v]) {
-      if ((it.a & 1) == 0) continue;  // not a W member
-      const u32 w_node = static_cast<u32>(it.a >> 1);
-      const u32 wi = w_index_of[w_node];
-      if (w_node == v || rv.next_bool(q)) {
+    for (const u32 u : heard[v]) {
+      const u32 wi = w_index_of[u];
+      if (wi == ~u32{0}) continue;  // not a W member
+      if (u == v || rv.next_bool(q)) {
         fam.helpers_of[wi].push_back(v);
         fam.helps[v].push_back(wi);
       }
     }
   }
+  heard.clear();  // release the member lists before the next flood
   for (auto& hs : fam.helpers_of) std::sort(hs.begin(), hs.end());
 
   // One more intra-cluster flood so each w ∈ W learns its helper set
-  // (first loop of Algorithm 3); helpers announce (helper, w).
-  std::vector<std::vector<item128>> ann(n);
+  // (first loop of Algorithm 3): every helper announces all its (helper, w)
+  // pairs at once. They start at one node and travel together, so one item
+  // charged |helps[v]| words costs exactly what the separate pairs would.
+  std::vector<u32> helpers;
+  std::vector<u64> pairs;
   for (u32 v = 0; v < n; ++v)
-    for (u32 wi : fam.helps[v])
-      ann[v].push_back({(u64{v} << 32) | w_set[wi], 1});
-  cluster_flood(net, cd, std::move(ann), cd.flood_budget());
+    if (!fam.helps[v].empty()) {
+      helpers.push_back(v);
+      pairs.push_back(fam.helps[v].size());
+    }
+  cluster_flood(net, cd, helpers, &pairs, cd.flood_budget(), /*keep=*/false);
   return fam;
 }
 

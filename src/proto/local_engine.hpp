@@ -1,5 +1,6 @@
-// The LOCAL relaxation engine behind proto/flood.cpp and
-// proto/sparse_exploration.cpp — an internal header, not public API.
+// The LOCAL relaxation engine behind proto/flood.cpp,
+// proto/sparse_exploration.cpp and proto/clustering.cpp — an internal
+// header, not public API.
 //
 // Every LOCAL-mode step the paper uses is one synchronous relaxation over
 // the local graph (the h-ball pattern: ruling-set and cluster floods, the
@@ -13,9 +14,11 @@
 //    the budget is padded, or one AND-aggregation pays for the early exit.
 //    It is parameterized by the per-node store (dense rows,
 //    sparse_dist_map, or a seen-bitset for unit floods, where the first
-//    arrival is final), the neighbour source (graph edges, unit weights, an
-//    explicit adjacency list) and the round policy (charged on a
-//    hybrid_net, or free: the referees and explore_adjacency).
+//    arrival is final), the neighbour source (graph edges, unit weights,
+//    same-cluster edges, an explicit adjacency list) and the round policy
+//    (charged on a hybrid_net, or free: the referees and
+//    explore_adjacency). The helper-set cluster_flood runs it on either
+//    local plane: it has no drop model (docs/FAULTS.md §3).
 //  * reoffer() — the self-healing loop for a faulty local plane
 //    (docs/FAULTS.md §3). Every round every node offers its whole held set
 //    to its neighbours through local_drop, so a dropped item gets a fresh
@@ -81,6 +84,18 @@ struct graph_edges {
   template <class F>
   void operator()(u32 v, F&& f) const {
     for (const edge& e : g.neighbors(v)) f(e.to, unit ? u64{1} : e.weight);
+  }
+};
+
+/// Unit-weight graph edges inside v's own part (`part[u]` labels node u):
+/// cluster floods never cross a cluster boundary.
+struct cluster_edges {
+  const graph& g;
+  const std::vector<u32>& part;
+  template <class F>
+  void operator()(u32 v, F&& f) const {
+    for (const edge& e : g.neighbors(v))
+      if (part[e.to] == part[v]) f(e.to, u64{1});
   }
 };
 

@@ -67,6 +67,47 @@ u64 charged_setup_rounds(u32 mu, u32 n) {
   return 2 * charged_beta(mu, n) + 2 * charged_flood_budget(mu, n);
 }
 
+/// The batch validation both delivery paths share (k_s, sender slot,
+/// receiver membership, label packing, k_r; self tokens count against
+/// neither bound). `take(si, ri, t, label)` gets every token with its
+/// receiver position and packed label (nullopt for a self token); each
+/// sender slab is released once absorbed. Returns the routed-token count.
+template <class Take>
+u64 absorb_batch(const routing_spec& spec, const std::vector<u32>& receiver_pos,
+                 std::vector<std::vector<routed_token>>& by_sender,
+                 Take&& take) {
+  std::vector<u64> routed_to(spec.receivers.size(), 0);
+  u64 total_routed = 0;
+  for (u32 si = 0; si < by_sender.size(); ++si) {
+    HYB_REQUIRE(by_sender[si].size() <= spec.k_s, "sender exceeds k_s tokens");
+    for (const routed_token& t : by_sender[si]) {
+      HYB_REQUIRE(t.sender == spec.senders[si],
+                  "token sender does not match its slot");
+      const u32 ri = receiver_pos[t.receiver];
+      HYB_REQUIRE(ri != ~u32{0}, "token addressed to a non-receiver");
+      std::optional<u64> label;
+      if (t.sender != t.receiver) {
+        label = pack_label(t.sender, t.receiver, t.index);
+        ++routed_to[ri];
+        ++total_routed;
+      }
+      take(si, ri, t, label);
+    }
+    std::vector<routed_token>().swap(by_sender[si]);  // memory only
+  }
+  for (u32 ri = 0; ri < spec.receivers.size(); ++ri)
+    HYB_REQUIRE(routed_to[ri] <= spec.k_r, "receiver exceeds k_r tokens");
+  return total_routed;
+}
+
+/// A budgeted intra-cluster flood of `tokens` items: charged and, with no
+/// per-item drop model, delivered in full; its rounds elapse.
+void charge_cluster_flood(hybrid_net& net, u64 tokens, u32 flood_rounds) {
+  net.charge_local(tokens * flood_rounds);
+  net.note_local_delivered(tokens * flood_rounds);
+  for (u32 r = 0; r < flood_rounds; ++r) net.advance_round();
+}
+
 }  // namespace
 
 routing_context build_routing_context(hybrid_net& net, routing_spec spec) {
@@ -111,8 +152,8 @@ routing_context build_routing_context(hybrid_net& net, routing_spec spec) {
   return ctx;
 }
 
-/// The charged stand-in's delivery: validate exactly as the simulated path
-/// does, hand every token to its receiver slot directly (sorted by
+/// The charged stand-in's delivery: validate with the simulated path's
+/// absorb_batch, hand every token to its receiver slot directly (sorted by
 /// (sender, index) — a canonical order; the simulated path's order is
 /// unspecified), and charge Theorem 2.2's round/message/flood accounting in
 /// closed form.
@@ -129,38 +170,20 @@ static std::vector<std::vector<routed_token>> charged_route_tokens(
   // so release them (memory only, they regrow on demand).
   net.trim_mailboxes();
   std::vector<std::vector<routed_token>> delivered(spec.receivers.size());
-  // One pass: validate exactly like the simulated path, hand each token to
-  // its receiver slot, release each sender slab as it is absorbed (the
-  // whole point of this path is the n = 10⁵ memory budget).
-  std::vector<u64> routed_to(spec.receivers.size(), 0);
-  u64 total_routed = 0;
-  for (u32 si = 0; si < by_sender.size(); ++si) {
-    HYB_REQUIRE(by_sender[si].size() <= spec.k_s, "sender exceeds k_s tokens");
-    for (const routed_token& t : by_sender[si]) {
-      HYB_REQUIRE(t.sender == spec.senders[si],
-                  "token sender does not match its slot");
-      const u32 ri = receiver_pos[t.receiver];
-      HYB_REQUIRE(ri != ~u32{0}, "token addressed to a non-receiver");
-      // Self tokens are delivered directly and do not count against k_r,
-      // exactly as on the simulated path; the label of a routed token must
-      // be packable exactly as there too.
-      if (t.sender != t.receiver) {
-        (void)pack_label(t.sender, t.receiver, t.index);
-        ++routed_to[ri];
-        ++total_routed;
-      }
-      delivered[ri].push_back(t);
-    }
-    std::vector<routed_token>().swap(by_sender[si]);
-  }
-  for (u32 ri = 0; ri < spec.receivers.size(); ++ri) {
-    HYB_REQUIRE(routed_to[ri] <= spec.k_r, "receiver exceeds k_r tokens");
-    std::sort(delivered[ri].begin(), delivered[ri].end(),
+  // One pass: validate, hand each token to its receiver slot, release each
+  // sender slab as it is absorbed (the whole point of this path is the
+  // n = 10⁵ memory budget).
+  const u64 total_routed = absorb_batch(
+      spec, receiver_pos, by_sender,
+      [&](u32, u32 ri, const routed_token& t, std::optional<u64>) {
+        delivered[ri].push_back(t);
+      });
+  for (auto& tokens : delivered)
+    std::sort(tokens.begin(), tokens.end(),
               [](const routed_token& a, const routed_token& b) {
                 return a.sender != b.sender ? a.sender < b.sender
                                             : a.index < b.index;
               });
-  }
   if (total_routed == 0) return delivered;
 
   // Rounds: K/(n·γ) pipelined global rounds + the √k terms + the hand-off /
@@ -233,31 +256,16 @@ std::vector<std::vector<routed_token>> route_tokens(
   std::vector<std::vector<helper_task>> sender_tokens(spec.senders.size());
   std::vector<std::vector<helper_task>> receiver_labels(
       spec.receivers.size());
-  u64 total_routed = 0;
-  for (u32 si = 0; si < by_sender.size(); ++si) {
-    HYB_REQUIRE(by_sender[si].size() <= spec.k_s,
-                "sender exceeds k_s tokens");
-    for (const routed_token& t : by_sender[si]) {
-      HYB_REQUIRE(t.sender == spec.senders[si],
-                  "token sender does not match its slot");
-      const u32 ri = receiver_pos[t.receiver];
-      HYB_REQUIRE(ri != ~u32{0}, "token addressed to a non-receiver");
-      if (t.sender == t.receiver) {
-        delivered[ri].push_back(t);
-        continue;
-      }
-      const u64 lbl = pack_label(t.sender, t.receiver, t.index);
-      sender_tokens[si].push_back({lbl, t.payload});
-      receiver_labels[ri].push_back({lbl, 0});
-      ++total_routed;
-    }
-    // The batch slab is fully absorbed; release it before the next grows
-    // the helper-side structures (memory only — nothing observable).
-    std::vector<routed_token>().swap(by_sender[si]);
-  }
-  for (u32 ri = 0; ri < spec.receivers.size(); ++ri)
-    HYB_REQUIRE(receiver_labels[ri].size() <= spec.k_r,
-                "receiver exceeds k_r tokens");
+  const u64 total_routed = absorb_batch(
+      spec, receiver_pos, by_sender,
+      [&](u32 si, u32 ri, const routed_token& t, std::optional<u64> lbl) {
+        if (!lbl) {
+          delivered[ri].push_back(t);
+          return;
+        }
+        sender_tokens[si].push_back({*lbl, t.payload});
+        receiver_labels[ri].push_back({*lbl, 0});
+      });
   if (total_routed == 0) return delivered;
 
   // ---- Algorithm 3: hand tokens to sender-helpers, labels to
@@ -296,11 +304,7 @@ std::vector<std::vector<routed_token>> route_tokens(
       }
       std::vector<helper_task>().swap(tasks[i]);  // handed over; release
     }
-    net.charge_local(token_count * flood_rounds);
-    // Budgeted intra-cluster flood (no per-item drop model): delivered in
-    // full to keep the local ledger balanced.
-    net.note_local_delivered(token_count * flood_rounds);
-    for (u32 r = 0; r < flood_rounds; ++r) net.advance_round();
+    charge_cluster_flood(net, token_count, flood_rounds);
   };
   distribute(ctx.sender_helpers, spec.senders, sender_tokens, send_tasks);
   distribute(ctx.receiver_helpers, spec.receivers, receiver_labels, want);
@@ -532,11 +536,7 @@ std::vector<std::vector<routed_token>> route_tokens(
       }
       std::vector<helper_task>().swap(fetched[v]);  // handed over; release
     }
-    net.charge_local(token_count * flood_rounds);
-    // Budgeted intra-cluster flood (no per-item drop model): delivered in
-    // full to keep the local ledger balanced.
-    net.note_local_delivered(token_count * flood_rounds);
-    for (u32 r = 0; r < flood_rounds; ++r) net.advance_round();
+    charge_cluster_flood(net, token_count, flood_rounds);
   }
   return delivered;
 }

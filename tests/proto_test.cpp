@@ -233,16 +233,95 @@ TEST(ClusterFlood, StaysInsideCluster) {
   const ruling_set_result rs = compute_ruling_set(net, 2);
   const cluster_decomposition cd = compute_clusters(net, rs);
   ASSERT_GE(cd.members.size(), 2u) << "path should split into clusters";
-  std::vector<std::vector<item128>> init(g.num_nodes());
   const u32 origin = cd.members[0][0];
-  init[origin].push_back({123, 456});
-  const auto heard = cluster_flood(net, cd, std::move(init), 2 * cd.beta + 1);
+  const auto heard =
+      cluster_flood(net, cd, {origin}, nullptr, 2 * cd.beta + 1);
   for (u32 v = 0; v < g.num_nodes(); ++v) {
     const bool got = !heard[v].empty();
     if (cd.cluster_of[v] == cd.cluster_of[origin])
       EXPECT_TRUE(got) << v;  // full cluster reached within 2β+1 rounds
     else
       EXPECT_FALSE(got) << v;
+  }
+}
+
+/// Round, item and delivery counters a call added to `net`.
+struct flood_cost {
+  u64 rounds, items, delivered;
+  friend bool operator==(const flood_cost&, const flood_cost&) = default;
+};
+
+template <class F>
+flood_cost cost_of(hybrid_net& net, F&& run) {
+  const run_metrics before = net.raw_metrics();
+  const u64 r0 = net.round();
+  run();
+  const run_metrics& after = net.raw_metrics();
+  return {net.round() - r0, after.local_items - before.local_items,
+          after.local_delivered - before.local_delivered};
+}
+
+TEST(ClusterFlood, MatchesHopDiscoveryOnClusterSubgraph) {
+  // A cluster flood on G is an early-exit hop flood on G without its
+  // inter-cluster edges: same per-node arrival order, rounds and charges.
+  const std::vector<graph> graphs = {
+      gen::erdos_renyi_connected(200, 4.0, 1, 11), gen::grid(12, 12),
+      gen::path(100), gen::balanced_tree(127, 2)};
+  for (u32 gi = 0; gi < graphs.size(); ++gi) {
+    const graph& g = graphs[gi];
+    const u32 n = g.num_nodes();
+    for (const u32 mu : {2u, 8u, 32u})
+      for (const u32 threads : {1u, 2u, 8u}) {
+        sim_options opts;
+        opts.threads = threads;
+        hybrid_net net(g, cfg(), 5, opts);
+        const cluster_decomposition cd =
+            compute_clusters(net, compute_ruling_set(net, mu));
+        std::vector<edge_spec> inside;
+        for (u32 v = 0; v < n; ++v)
+          for (const edge& e : g.neighbors(v))
+            if (v < e.to && cd.cluster_of[v] == cd.cluster_of[e.to])
+              inside.push_back({v, e.to, e.weight});
+        const graph sub = graph::from_edges(n, inside);
+        std::vector<u32> self(n);
+        for (u32 v = 0; v < n; ++v) self[v] = v;
+        for (const u32 budget : {cd.flood_budget(), 3u, 0u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "graph " << gi << " mu " << mu << " threads "
+                       << threads << " budget " << budget);
+          std::vector<std::vector<u32>> heard;
+          const flood_cost got = cost_of(net, [&] {
+            heard = cluster_flood(net, cd, self, nullptr, budget);
+          });
+          hybrid_net ref_net(sub, cfg(), 5, opts);
+          std::vector<std::vector<discovered_seed>> ref;
+          const flood_cost want = cost_of(ref_net, [&] {
+            ref = hop_discovery(ref_net, self, budget, /*early_exit=*/true);
+          });
+          EXPECT_EQ(got, want);
+          EXPECT_EQ(got.items, got.delivered);
+          for (u32 v = 0; v < n; ++v) {
+            std::vector<u32> order;
+            for (const discovered_seed& d : ref[v]) order.push_back(d.seed);
+            ASSERT_EQ(heard[v], order) << "node " << v;
+          }
+        }
+        // Items rooted at one node travel together: k of them cost what
+        // one item charged k words costs.
+        const u32 k = 5;
+        const u32 origin = cd.members[cd.cluster_of[n / 2]].front();
+        const flood_cost separate = cost_of(net, [&] {
+          cluster_flood(net, cd, std::vector<u32>(k, origin), nullptr,
+                        cd.flood_budget());
+        });
+        const std::vector<u64> words = {k};
+        const flood_cost grouped = cost_of(net, [&] {
+          cluster_flood(net, cd, {origin}, &words, cd.flood_budget(),
+                        /*keep=*/false);
+        });
+        EXPECT_EQ(separate, grouped) << "graph " << gi << " mu " << mu;
+        EXPECT_GT(grouped.items, 0u);
+      }
   }
 }
 
