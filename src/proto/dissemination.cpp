@@ -138,8 +138,9 @@ dissemination_result disseminate(hybrid_net& net,
           const std::vector<u32>& from = st[e.to].fresh;
           const u32 cnt = static_cast<u32>(from.size());
           mine += cnt;
+          const hybrid_net::local_link link = net.local_link_draws(e.to, v);
           for (u32 j = 0; j < cnt; ++j) {
-            if (lf && net.local_drop(e.to, v, j, cnt)) {
+            if (lf && link.drop(j, cnt)) {
               ++dropped[v];
               continue;
             }

@@ -21,10 +21,11 @@
 //    local plane: it has no drop model (docs/FAULTS.md §3).
 //  * reoffer() — the self-healing loop for a faulty local plane
 //    (docs/FAULTS.md §3). Every round every node offers its whole held set
-//    to its neighbours through local_drop, so a dropped item gets a fresh
-//    chance each round; acceptances merge after the barrier; the loop ends
-//    after a crash-aware quiet window (or throws fault_failure when the
-//    budget runs out) and the held-set policy referees the converged state
+//    to its neighbours through the edge's local_link_draws stream (built
+//    once per edge per round), so a dropped item gets a fresh chance each
+//    round; acceptances merge after the barrier; the loop ends after a
+//    crash-aware quiet window (or throws fault_failure when the budget
+//    runs out) and the held-set policy referees the converged state
 //    against the reliable fixed point. The policy fixes the offer order and
 //    therefore every fault draw: a seen-set (hop and table floods), Pareto
 //    sets in key order (Bellman–Ford) or in insertion order (the
@@ -513,11 +514,13 @@ void reoffer(hybrid_net& net, Held& held, const heal_spec& spec) {
           u64 re = 0;
           if (net.is_up(v))
             for (const edge& e : g.neighbors(v)) {
+              const hybrid_net::local_link link =
+                  net.local_link_draws(e.to, v);
               u32 idx = 0;
               held.pull(v, e, [&](u32 count, u32 stamp, u64 cost) {
                 mine += cost;
                 if (stamp + 1 < it) ++re;
-                if (!net.local_drop(e.to, v, idx++, count)) return true;
+                if (!link.drop(idx++, count)) return true;
                 ++lost;
                 return false;
               });

@@ -95,8 +95,10 @@ class fault_unsupported : public std::runtime_error {
 // ---- the fault stream ------------------------------------------------------
 //
 // fault_rng(seed, fault_seed, node/link, round, msg_idx): a splitmix chain
-// through derive_seed. The per-plane base is precomputed once per network;
-// each decision then costs three finalizer calls and no state.
+// through derive_seed. The per-plane base is precomputed once per network.
+// On the local plane the (link, round) key — the chain's first two
+// finalizers — is hoisted per edge (hybrid_net::local_link_draws), so each
+// item pays one finalizer and the stream is unchanged.
 
 inline constexpr u64 kFaultPlaneGlobal = 0x67;  // NCC sends in hybrid_net
 inline constexpr u64 kFaultPlaneLocal = 0x6C;   // LOCAL edge crossings

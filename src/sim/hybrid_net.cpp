@@ -106,15 +106,17 @@ bool hybrid_net::global_drop(u32 src, u32 idx, const global_msg& m) const {
       fo.drop_global);
 }
 
-bool hybrid_net::local_drop(u32 from, u32 to, u32 idx, u32 count) const {
-  if (has_crashes_ && (down_cur_[from] || down_cur_[to])) return true;
+hybrid_net::local_link hybrid_net::local_link_draws(u32 from, u32 to) const {
+  local_link l;
+  if (!fault_local_) return l;
   const fault_options& fo = opts_.faults;
-  if (fo.drop_local <= 0.0) return false;
-  if (fo.mode == fault_mode::kAdversarialPrefix)
-    return idx < adversarial_prefix_count(fo.drop_local, count);
+  l.down_ = has_crashes_ && (down_cur_[from] || down_cur_[to]);
+  l.p_ = fo.drop_local;
+  l.prefix_ = fo.mode == fault_mode::kAdversarialPrefix;
+  // fault_draw's first two finalizers; drop() applies the per-item third.
   const u64 link = (u64{from} << 32) | to;
-  return fault_roll(fault_draw(fault_base_local_, link, metrics_.rounds, idx),
-                    fo.drop_local);
+  l.key_ = derive_seed(derive_seed(fault_base_local_, link), metrics_.rounds);
+  return l;
 }
 
 void hybrid_net::advance_round() {

@@ -154,12 +154,42 @@ class hybrid_net {
   /// Whether v is up in the current round (crash schedule). Down nodes
   /// send and receive nothing on either plane but keep their state.
   bool is_up(u32 v) const { return !has_crashes_ || !down_cur_[v]; }
+  /// The local fault stream of one directed edge in the current round: the
+  /// crash verdict, p, the mode and the (link, round) key of fault_draw,
+  /// fixed when the link is built, so drop() pays one finalizer per item.
+  /// Build one per edge per pull; a link is stale once the round advances.
+  class local_link {
+   public:
+    /// Whether the idx-th of `count` items crossing this edge is lost —
+    /// exactly fault_roll(fault_draw(base, (from << 32) | to, round, idx),
+    /// p), or the adversarial prefix rule.
+    bool drop(u32 idx, u32 count) const {
+      if (down_) return true;
+      if (p_ <= 0.0) return false;
+      if (prefix_) return idx < adversarial_prefix_count(p_, count);
+      return fault_roll(derive_seed(key_, idx), p_);
+    }
+
+   private:
+    friend class hybrid_net;
+    u64 key_ = 0;
+    double p_ = 0.0;
+    bool down_ = false;
+    bool prefix_ = false;
+  };
+  /// The fault stream of the edge `from` → `to` this round (never drops
+  /// when the local plane is reliable). Pure in (round, from, to), so
+  /// callable from parallel steps.
+  local_link local_link_draws(u32 from, u32 to) const;
   /// Whether the idx-th of `count` items pulled from `from` by `to` across
   /// a local edge this round is lost. Pure in (round, from, to, idx), so
   /// callable from parallel steps; callers count drops per node and report
   /// the sum through note_local_dropped (the charge_local charge includes
-  /// dropped items — they did cross the edge).
-  bool local_drop(u32 from, u32 to, u32 idx, u32 count) const;
+  /// dropped items — they did cross the edge). Loops over one edge's items
+  /// build local_link_draws once instead.
+  bool local_drop(u32 from, u32 to, u32 idx, u32 count) const {
+    return local_link_draws(from, to).drop(idx, count);
+  }
   /// Items that arrived (= charged minus dropped at the charging site).
   /// Every charge_local caller reports its delivered share so the ledger
   /// local_items == local_delivered + local_dropped holds at all times;

@@ -80,9 +80,4 @@ std::vector<u32> rng::sample_without_replacement(u32 n, u32 m) {
   return idx;
 }
 
-u64 derive_seed(u64 seed, u64 stream) {
-  u64 x = seed ^ (0x510e527fade682d1ULL * (stream + 1));
-  return splitmix64(x);
-}
-
 }  // namespace hybrid

@@ -51,7 +51,14 @@ class rng {
 };
 
 /// Derive a child seed from (seed, stream) — used to give every node and
-/// every protocol phase an independent stream. SplitMix64 finalizer.
-u64 derive_seed(u64 seed, u64 stream);
+/// every protocol phase an independent stream. SplitMix64 finalizer; inline
+/// because the per-item fault stream (sim/fault.hpp) calls it in hot loops.
+constexpr u64 derive_seed(u64 seed, u64 stream) {
+  u64 z = (seed ^ (0x510e527fade682d1ULL * (stream + 1))) +
+          0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 }  // namespace hybrid

@@ -121,6 +121,65 @@ TEST(FaultRng, AdversarialPrefixCountCeilsAndClamps) {
   EXPECT_EQ(adversarial_prefix_count(0.3, 0), 0u);
 }
 
+// hybrid_net::local_link_draws hoists fault_draw's (link, round) key out of
+// the per-item loop; every decision must still be the reference formula.
+TEST(FaultRng, LinkDrawsMatchFaultDraw) {
+  const graph g = gen::grid(5, 5);
+  const u64 seed = 5, fault_seed = 11;
+  const double p = 0.3;
+  const u64 base = fault_plane_base(seed, fault_seed, kFaultPlaneLocal);
+  auto check = [&](const fault_options& f, auto&& want) {
+    hybrid_net net(g, default_cfg(), seed, with_faults(f));
+    rng pick(42);
+    for (u32 r = 0; r < 4; ++r) {
+      net.advance_round();
+      for (u32 trial = 0; trial < 16; ++trial) {
+        const u32 to = static_cast<u32>(pick.next_below(g.num_nodes()));
+        const auto nbrs = g.neighbors(to);
+        const u32 from = nbrs[pick.next_below(nbrs.size())].to;
+        const auto link = net.local_link_draws(from, to);
+        for (u32 count : {0u, 1u, 7u, 64u})
+          for (u32 idx = 0; idx < std::max(count, 1u); ++idx) {
+            const bool got = link.drop(idx, count);
+            ASSERT_EQ(got, want(net, from, to, idx, count))
+                << from << "->" << to << " round " << net.round() << " idx "
+                << idx << "/" << count;
+            ASSERT_EQ(got, net.local_drop(from, to, idx, count));
+          }
+      }
+    }
+  };
+  auto formula = [&](const hybrid_net& net, u32 from, u32 to, u32 idx, u32) {
+    return fault_roll(
+        fault_draw(base, (u64{from} << 32) | to, net.round(), idx), p);
+  };
+  check(drop_local_opts(p, fault_seed), formula);
+
+  fault_options prefix = drop_local_opts(p, fault_seed);
+  prefix.mode = fault_mode::kAdversarialPrefix;
+  check(prefix, [&](const hybrid_net&, u32, u32, u32 idx, u32 count) {
+    return idx < adversarial_prefix_count(p, count);
+  });
+
+  // Node 12 (the grid's centre) is down in rounds [2, 4).
+  fault_options crash = drop_local_opts(p, fault_seed);
+  crash.crashes.push_back({12, 2, 4});
+  check(crash, [&](const hybrid_net& net, u32 from, u32 to, u32 idx,
+                   u32 count) {
+    if (!net.is_up(from) || !net.is_up(to)) return true;
+    return formula(net, from, to, idx, count);
+  });
+  hybrid_net net(g, default_cfg(), seed, with_faults(crash));
+  net.advance_round();
+  net.advance_round();
+  ASSERT_FALSE(net.is_up(12));
+  for (const edge& e : g.neighbors(12))
+    for (u32 idx = 0; idx < 8; ++idx) {
+      EXPECT_TRUE(net.local_link_draws(e.to, 12).drop(idx, 8));
+      EXPECT_TRUE(net.local_link_draws(12, e.to).drop(idx, 8));
+    }
+}
+
 // ---- simulator drop/crash semantics ---------------------------------------
 
 TEST(HybridNetFaults, DefaultOptionsInjectNothing) {
@@ -1120,6 +1179,29 @@ TEST(FaultPipelines, SsspExactUnderBothPlanesAndCrashes) {
     EXPECT_EQ(run.metrics.local_items,
               run.metrics.local_delivered + run.metrics.local_dropped)
         << threads;
+  }
+}
+
+// Pins the fault counters of one lossy pipeline at its recorded values, so a
+// change to any fault stream, healing loop or charge shows up in tier-1 and
+// not only in the bench gate. The grid and parameters mirror a scaled-down
+// lossy SSSP benchmark run.
+TEST(FaultPipelines, LossySsspCountersArePinned) {
+  const graph g = gen::grid(12, 12, 16, derive_seed(1, 1));
+  fault_options f = drop_global_opts(0.1, 9);
+  f.drop_local = 0.1;
+  const auto ref = dijkstra(g, 78);
+  for (u32 threads : {1u, 2u, 8u}) {
+    const auto run =
+        hybrid_sssp_exact(g, default_cfg(), 7, 78, with_faults(f, threads));
+    const run_metrics& m = run.metrics;
+    EXPECT_EQ(run.dist, ref) << threads;
+    EXPECT_EQ(m.rounds, 1589u) << threads;
+    EXPECT_EQ(m.global_dropped, 7952u) << threads;
+    EXPECT_EQ(m.local_items, 7808727u) << threads;
+    EXPECT_EQ(m.local_dropped, 730533u) << threads;
+    EXPECT_EQ(m.retransmitted, 6958298u) << threads;
+    EXPECT_EQ(m.extra_rounds, 410u) << threads;
   }
 }
 
