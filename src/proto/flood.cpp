@@ -7,21 +7,20 @@
 // adjacency order, so results, tie-breaks and charged traffic are
 // thread-count-invariant.
 //
-// Fault healing (docs/FAULTS.md §3): under local-plane faults the floods
-// and Bellman–Ford run the re-offer loop instead — every round every node
-// offers its whole held set to its neighbours (not just the last round's
-// frontier), so an item lost to a drop gets fresh chances every subsequent
-// round, until a crash-aware quiet window; a referee then turns premature
+// Fault healing (docs/FAULTS.md §3): under local-plane faults each
+// primitive runs its relaxation loop free for the reliable answer, returns
+// that answer, and runs the re-offer loop to pay for the healing: every
+// round every node offers its whole held set to its neighbours (not just
+// the last round's frontier), so an item lost to a drop gets fresh chances
+// every subsequent round, until a crash-aware quiet window; the referee
+// then checks the healed state against the answer and turns premature
 // stability into fault_failure, never a silently incomplete return. The
-// hop and table floods hold seen-sets and run to saturation (their
-// referee checks that each node holds exactly its component's items), so
-// learned hop values become learn-round stamps. Bellman–Ford holds
-// Pareto-minimal (dist, hops) sets per source and offers only pairs with
-// hops < h, so every accepted value is realized by a ≤h-hop walk; it
-// returns its referee's reliable result, vias included. The
+// held sets are Pareto-minimal (dist, hops) pairs per key, and only pairs
+// with hops < T are offered, so the hop and table floods heal their T-ball
+// (hop = dist under unit weights) and Bellman–Ford its d_h. The
 // exploration-shaped primitives (full_local_exploration,
 // truncated_eccentricity) heal through healed_local_exploration
-// (proto/sparse_exploration.cpp) and return results bit-identical to the
+// (proto/sparse_exploration.cpp). All return results bit-identical to the
 // fault-free run.
 #include "proto/flood.hpp"
 
@@ -33,94 +32,47 @@ using namespace local_engine;
 
 namespace {
 
-/// Connected-component labels for the seen-set referee.
-std::vector<u32> component_labels(const graph& g) {
-  const u32 n = g.num_nodes();
-  std::vector<u32> comp(n, ~u32{0});
-  std::vector<u32> stack;
-  u32 c = 0;
-  for (u32 start = 0; start < n; ++start) {
-    if (comp[start] != ~u32{0}) continue;
-    comp[start] = c;
-    stack.push_back(start);
-    while (!stack.empty()) {
-      const u32 u = stack.back();
-      stack.pop_back();
-      for (const edge& e : g.neighbors(u))
-        if (comp[e.to] == ~u32{0}) {
-          comp[e.to] = c;
-          stack.push_back(e.to);
-        }
-    }
-    ++c;
+/// The healed hop and table floods. The fault-free flood, run free, is the
+/// answer: per node the (item, hop) pairs within `spec.rounds` hops, in
+/// learn order. The re-offer loop then pays for the healing and referees
+/// its T-ball against that answer, keyed by item index. Item i starts at
+/// node roots[i] and costs words[i] local items per offer (one when `words`
+/// is null).
+std::vector<std::vector<discovered_seed>> healed_flood(
+    hybrid_net& net, const std::vector<u32>& roots,
+    const std::vector<u64>* words, const heal_spec& spec) {
+  const u32 n = net.n();
+  round_executor& exec = net.executor();
+  const u32 items = static_cast<u32>(roots.size());
+  std::vector<std::vector<discovered_seed>> known(n);
+  {
+    std::vector<std::vector<u32>> frontier(n);
+    seen_store store(n, items, nullptr, [&](u32 v, u32 i, u32 r) {
+      known[v].push_back({i, r});
+    });
+    for (u32 i = 0; i < items; ++i) store.seed(roots[i], i, frontier[roots[i]]);
+    relax(store, frontier, spec.rounds, graph_edges{net.g()},
+          round_policy::free(exec));
   }
-  return comp;
+  sparse_exploration_result ref;
+  ref.offsets.assign(n + 1, 0);
+  for (u32 v = 0; v < n; ++v)
+    ref.offsets[v + 1] = ref.offsets[v] + known[v].size();
+  ref.entries.resize(ref.offsets[n]);
+  exec.for_nodes(n, [&](u32 v) {
+    exploration_entry* at = ref.entries.data() + ref.offsets[v];
+    for (const discovered_seed& d : known[v]) *at++ = {d.hop, d.seed, ~u32{0}};
+    std::sort(ref.entries.data() + ref.offsets[v], at,
+              [](const exploration_entry& a, const exploration_entry& b) {
+                return a.source < b.source;
+              });
+  });
+  std::vector<root> keyed(items);
+  for (u32 i = 0; i < items; ++i) keyed[i] = {roots[i], i};
+  pareto_held held(ref, spec.rounds, keyed, true, words);
+  reoffer(net, held, spec);
+  return known;
 }
-
-/// Seen-set held policy (healed hop and table floods): a node holds the
-/// items it has heard in learn order, each stamped with the iteration that
-/// merged it (hop_discovery returns the stamp as the hop), and offers all
-/// of them every round; the first copy to get through is kept. Item i
-/// starts at node roots[i] and is charged words[i] local items per edge
-/// crossing (one when `words` is null).
-class seen_held {
- public:
-  seen_held(const graph& g, const std::vector<u32>& roots,
-            const std::vector<u64>* words)
-      : g_(g), roots_(roots), words_(words), seen_(0, 0) {}
-
-  void reset() {
-    const u32 n = g_.num_nodes();
-    held.assign(n, {});
-    add_.assign(n, {});
-    seen_ = seen_bits(n, static_cast<u32>(roots_.size()));
-    for (u32 i = 0; i < roots_.size(); ++i)
-      if (seen_.mark(roots_[i], i)) held[roots_[i]].push_back({i, 0});
-  }
-  template <class Offer>
-  void pull(u32 v, const edge& e, Offer&& offer) {
-    const std::vector<discovered_seed>& from = held[e.to];
-    const u32 count = static_cast<u32>(from.size());
-    for (const discovered_seed& d : from)
-      if (offer(count, d.hop, words_ ? (*words_)[d.seed] : 1) &&
-          !seen_.has(v, d.seed))
-        add_[v].push_back(d.seed);
-  }
-  bool merge(u32 v, u32 it) {
-    bool changed = false;
-    for (const u32 i : add_[v])
-      if (seen_.mark(v, i)) {
-        held[v].push_back({i, it});
-        changed = true;
-      }
-    add_[v].clear();
-    return changed;
-  }
-  /// Frontier stability is a heuristic (an adversarial-prefix schedule can
-  /// starve a link forever and look quiet), so at convergence every node
-  /// must hold exactly the items rooted in its own component.
-  const char* referee() const {
-    const std::vector<u32> comp = component_labels(g_);
-    std::vector<u64> want;
-    for (const u32 r : roots_) {
-      if (comp[r] >= want.size()) want.resize(comp[r] + 1, 0);
-      ++want[comp[r]];
-    }
-    for (u32 v = 0; v < held.size(); ++v)
-      if (held[v].size() != (comp[v] < want.size() ? want[comp[v]] : 0))
-        return "stabilized before reaching every node";
-    return nullptr;
-  }
-
-  std::vector<std::vector<discovered_seed>> held;
-
- private:
-  const graph& g_;
-  const std::vector<u32>& roots_;
-  const std::vector<u64>* words_;
-  seen_bits seen_;
-  std::vector<std::vector<u32>> add_;
-};
 
 }  // namespace
 
@@ -130,9 +82,8 @@ std::vector<std::vector<discovered_seed>> hop_discovery(
   const u32 n = net.n();
   for (const u32 s : seeds) HYB_REQUIRE(s < n, "seed out of range");
   if (net.local_faults_active()) {
-    seen_held held(net.g(), seeds, nullptr);
-    reoffer(net, held, {"hop_discovery", rounds, rounds, rounds, early_exit});
-    return std::move(held.held);
+    return healed_flood(net, seeds, nullptr,
+                        {"hop_discovery", rounds, rounds, rounds, early_exit});
   }
   std::vector<std::vector<discovered_seed>> known(n);
   std::vector<std::vector<u32>> frontier(n);
@@ -166,7 +117,7 @@ std::vector<std::vector<source_distance>> limited_bellman_ford(
     const sparse_exploration_result ref =
         explore_sparse(n, h, roots, graph_edges{net.g()},
                        round_policy::free(net.executor()), true);
-    pareto_held held(n, h, roots, indexed_sets(s_count), false, ref);
+    pareto_held held(ref, h, roots, false);
     reoffer(net, held,
             {"limited_bellman_ford", h, h, advance_rounds ? h : 0});
     for (u32 v = 0; v < n; ++v)
@@ -224,11 +175,11 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
   for (const u32 p : publishers) HYB_REQUIRE(p < n, "publisher out of range");
   std::vector<std::vector<u32>> holds(n);
   if (net.local_faults_active()) {
-    seen_held held(net.g(), publishers, &table_words);
-    reoffer(net, held, {"table_flood", rounds, rounds, rounds});
+    const std::vector<std::vector<discovered_seed>> known = healed_flood(
+        net, publishers, &table_words, {"table_flood", rounds, rounds, rounds});
     for (u32 v = 0; v < n; ++v) {
-      holds[v].reserve(held.held[v].size());
-      for (const discovered_seed& d : held.held[v]) holds[v].push_back(d.seed);
+      holds[v].reserve(known[v].size());
+      for (const discovered_seed& d : known[v]) holds[v].push_back(d.seed);
     }
     return holds;
   }

@@ -44,6 +44,8 @@ namespace hybrid {
 struct discovered_seed {
   u32 seed;  ///< index into the seeds vector passed in
   u32 hop;
+  friend bool operator==(const discovered_seed&,
+                         const discovered_seed&) = default;
 };
 
 /// (1) Multi-source BFS flood for `rounds` rounds.
@@ -52,10 +54,8 @@ struct discovered_seed {
 /// forward; since frontier-emptiness is global information, the saved
 /// rounds cost one charged AND-aggregation (Lemma B.2). The result is
 /// identical either way — once saturated, the remaining budget is silent.
-/// Under local-plane faults the healed flood diverges: it runs to
-/// saturation, so every node hears every seed of its component (past the
-/// `rounds` budget), and each hop is the round the seed was learned — an
-/// upper bound on the true hop, not the hop itself (docs/FAULTS.md §3).
+/// Under local-plane faults the flood self-heals and returns the identical
+/// result, order and hops included (docs/FAULTS.md §3).
 std::vector<std::vector<discovered_seed>> hop_discovery(
     hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
     bool early_exit = false);
@@ -99,8 +99,8 @@ std::vector<std::vector<u64>> full_local_exploration(
 /// (4) Flood per-publisher immutable tables for `rounds` rounds.
 /// `table_words[i]` is the accounted size of publisher i's table in 64-bit
 /// words. Returns for each node the publisher indices whose table it holds.
-/// Under local-plane faults, like hop_discovery, the healed flood runs to
-/// saturation and every node holds every table of its component.
+/// Under local-plane faults, like hop_discovery, the flood self-heals and
+/// returns the identical result.
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,
                                           const std::vector<u32>& publishers,
                                           const std::vector<u64>& table_words,

@@ -20,16 +20,16 @@
 //    explore_adjacency). The helper-set cluster_flood runs it on either
 //    local plane: it has no drop model (docs/FAULTS.md §3).
 //  * reoffer() — the self-healing loop for a faulty local plane
-//    (docs/FAULTS.md §3). Every round every node offers its whole held set
-//    to its neighbours through the edge's local_link_draws stream (built
-//    once per edge per round), so a dropped item gets a fresh chance each
-//    round; acceptances merge after the barrier; the loop ends after a
-//    crash-aware quiet window (or throws fault_failure when the budget
-//    runs out) and the held-set policy referees the converged state
-//    against the reliable fixed point. The policy fixes the offer order and
-//    therefore every fault draw: a seen-set (hop and table floods), Pareto
-//    sets in key order (Bellman–Ford) or in insertion order (the
-//    exploration engine).
+//    (docs/FAULTS.md §3). Every healed primitive first runs relax() free
+//    for the reliable answer and returns that answer; reoffer() only pays
+//    for the healing and referees it. Every round every node offers its
+//    whole held set to its neighbours through the edge's local_link_draws
+//    stream (built once per edge per round), so a dropped item gets a fresh
+//    chance each round; acceptances merge after the barrier; the loop ends
+//    after a crash-aware quiet window (or throws fault_failure when the
+//    budget runs out) and pareto_held referees the converged state against
+//    the reliable fixed point. Its one held-set policy — per node a flat
+//    Pareto vector offered in key order — fixes every fault draw.
 //
 // Both loops follow the executor's determinism contract
 // (docs/CONCURRENCY.md): a node's step reads other nodes' round-frozen
@@ -292,133 +292,68 @@ sparse_exploration_result explore_sparse(u32 n, u32 h,
 
 // ---- re-offer loop ---------------------------------------------------------
 
-/// One Pareto-minimal (dist, hops) pair a healing node holds for a key,
+/// One Pareto-minimal (dist, hops) pair a healing node holds for `key`,
 /// stamped with the iteration that merged it.
-struct pareto_entry {
+struct held_entry {
   u64 dist;
+  u32 key;
   u32 hops;
   u32 stamp;
 };
-/// Sorted by dist ascending, hence hops strictly descending.
-using pareto_set = std::vector<pareto_entry>;
 
-inline bool pareto_dominated(const pareto_set* set, u64 dist, u32 hops) {
-  if (set)
-    for (const pareto_entry& e : *set)
-      if (e.dist <= dist && e.hops <= hops) return true;
-  return false;
-}
-
-inline void pareto_insert(pareto_set& set, u64 dist, u32 hops, u32 stamp) {
-  std::erase_if(set, [&](const pareto_entry& e) {
-    return e.dist >= dist && e.hops >= hops;
-  });
-  auto pos = std::lower_bound(
-      set.begin(), set.end(), dist,
-      [](const pareto_entry& e, u64 d) { return e.dist < d; });
-  set.insert(pos, {dist, hops, stamp});
-}
-
-/// Pareto sets offered in key order (Bellman–Ford: keys are source
-/// indices, every node has one slot per source).
-class indexed_sets {
- public:
-  explicit indexed_sets(u32 width) : sets_(width) {}
-  template <class F>
-  void each(F&& f) const {
-    for (u32 k = 0; k < sets_.size(); ++k) f(k, sets_[k]);
-  }
-  const pareto_set* find(u32 key) const {
-    return sets_[key].empty() ? nullptr : &sets_[key];
-  }
-  pareto_set& at(u32 key) { return sets_[key]; }
-  u32 size() const {
-    return static_cast<u32>(std::count_if(
-        sets_.begin(), sets_.end(),
-        [](const pareto_set& s) { return !s.empty(); }));
-  }
-
- private:
-  std::vector<pareto_set> sets_;
-};
-
-/// Pareto sets offered in insertion (discovery) order (the exploration
-/// engine: keys are node ids). Insertion order is a pure function of the
-/// merge history, so the offer enumeration is thread-count-invariant.
-/// Lookup is a linear scan — healed runs are test/bench sized and the
-/// referee bounds the held set by the h-ball.
-class insertion_sets {
- public:
-  template <class F>
-  void each(F&& f) const {
-    for (u32 k = 0; k < keys_.size(); ++k) f(keys_[k], sets_[k]);
-  }
-  const pareto_set* find(u32 key) const {
-    for (u32 k = 0; k < keys_.size(); ++k)
-      if (keys_[k] == key) return &sets_[k];
-    return nullptr;
-  }
-  pareto_set& at(u32 key) {
-    for (u32 k = 0; k < keys_.size(); ++k)
-      if (keys_[k] == key) return sets_[k];
-    keys_.push_back(key);
-    return sets_.emplace_back();
-  }
-  u32 size() const { return static_cast<u32>(keys_.size()); }
-
- private:
-  std::vector<u32> keys_;
-  std::vector<pareto_set> sets_;
-};
-
-/// Pareto held-set policy (healed Bellman–Ford and exploration). Under
-/// drops a smaller-dist/more-hops pair can arrive before (or instead of) a
+/// The held-set policy of every healed primitive. Under drops a
+/// smaller-dist/more-hops pair can arrive before (or instead of) a
 /// fewer-hops one, and only pairs with hops < h may be extended, so keeping
 /// just the best dist per key would lose valid ≤h-hop distances. Each node
-/// keeps the Pareto-minimal pairs per key and offers those with hops < h;
-/// every held pair is realized by a ≤h-hop walk, so at convergence the
-/// fronts are d_h. `ref` is the reliable fixed point, keyed the same way.
-template <class Sets>
+/// keeps one flat vector of Pareto-minimal entries sorted by key, then by
+/// dist ascending (so hops strictly descending), and offers those with
+/// hops < h in that order; every held pair is realized by a ≤h-hop walk, so
+/// at convergence the fronts are d_h. `ref` is the reliable fixed point,
+/// keyed the same way; each node's vector is reserved to its ref ball. Item
+/// `key` costs words[key] local items per offer (one when `words` is null).
 class pareto_held {
  public:
-  pareto_held(u32 n, u32 h, const std::vector<root>& roots, Sets empty,
-              bool unit_weights, const sparse_exploration_result& ref)
-      : n_(n), h_(h), roots_(roots), empty_(std::move(empty)),
-        unit_(unit_weights), ref_(ref) {}
+  pareto_held(const sparse_exploration_result& ref, u32 h,
+              const std::vector<root>& roots, bool unit_weights,
+              const std::vector<u64>* words = nullptr)
+      : ref_(ref), h_(h), roots_(roots), unit_(unit_weights), words_(words),
+        cur_(ref.offsets.size() - 1), add_(cur_.size()) {
+    for (u32 v = 0; v < cur_.size(); ++v)
+      cur_[v].reserve(ref.reached(v).size());
+  }
 
   void reset() {
-    cur_.assign(n_, empty_);
-    add_.assign(n_, {});
-    for (const root& r : roots_)
-      pareto_insert(cur_[r.node].at(r.key), 0, 0, 0);
+    for (u32 v = 0; v < cur_.size(); ++v) {
+      cur_[v].clear();
+      add_[v].clear();
+    }
+    for (const root& r : roots_) insert(cur_[r.node], {0, r.key, 0, 0});
   }
   /// v pulls e.to's offers: count first (the adversarial mode needs it),
-  /// then one offer per extendable pair.
+  /// then one offer per extendable pair. Both sets are sorted by key, so
+  /// one cursor walks v's own set alongside.
   template <class Offer>
   void pull(u32 v, const edge& e, Offer&& offer) {
-    const Sets& from = cur_[e.to];
+    const std::vector<held_entry>& from = cur_[e.to];
     u32 count = 0;
-    from.each([&](u32, const pareto_set& set) {
-      for (const pareto_entry& pe : set) count += pe.hops < h_;
-    });
+    for (const held_entry& he : from) count += he.hops < h_;
     const u64 w = unit_ ? 1 : e.weight;
-    from.each([&](u32 key, const pareto_set& set) {
-      for (const pareto_entry& pe : set) {
-        if (pe.hops >= h_ || !offer(count, pe.stamp, 1)) continue;
-        const u64 nd = pe.dist + w;
-        const u32 nh = pe.hops + 1;
-        if (!pareto_dominated(cur_[v].find(key), nd, nh))
-          add_[v].push_back({key, nd, nh});
-      }
-    });
+    auto at = cur_[v].cbegin();
+    const auto end = cur_[v].cend();
+    for (const held_entry& he : from) {
+      if (he.hops >= h_ ||
+          !offer(count, he.stamp, words_ ? (*words_)[he.key] : 1))
+        continue;
+      const staged got{he.dist + w, he.key, he.hops + 1};
+      while (at != end && at->key < got.key) ++at;
+      if (!dominated(at, end, got.key, got.dist, got.hops))
+        add_[v].push_back(got);
+    }
   }
   bool merge(u32 v, u32 it) {
     bool changed = false;
-    for (const staged& s : add_[v]) {
-      if (pareto_dominated(cur_[v].find(s.key), s.dist, s.hops)) continue;
-      pareto_insert(cur_[v].at(s.key), s.dist, s.hops, it);
-      changed = true;
-    }
+    for (const staged& s : add_[v])
+      changed |= insert(cur_[v], {s.dist, s.key, s.hops, it});
     add_[v].clear();
     return changed;
   }
@@ -427,32 +362,66 @@ class pareto_held {
   /// the healed state IS the fixed point. Anything less is premature
   /// stability.
   const char* referee() const {
-    for (u32 v = 0; v < n_; ++v) {
+    for (u32 v = 0; v < cur_.size(); ++v) {
       const std::span<const exploration_entry> want = ref_.reached(v);
-      if (cur_[v].size() != want.size())
-        return "stabilized before reaching the h-ball";
+      const std::vector<held_entry>& set = cur_[v];
+      u32 keys = 0;
+      for (u32 k = 0; k < set.size(); ++k)
+        keys += k == 0 || set[k].key != set[k - 1].key;
+      if (keys != want.size()) return "stabilized before reaching the h-ball";
+      const held_entry* front = set.data();
       for (const exploration_entry& e : want) {
-        const pareto_set* set = cur_[v].find(e.source);
-        if (!set || set->front().dist != e.dist)
+        if (front->key != e.source || front->dist != e.dist)
           return "stabilized before convergence";
+        while (front != set.data() + set.size() && front->key == e.source)
+          ++front;
       }
     }
     return nullptr;
   }
 
  private:
+  /// An accepted offer, stamped when merged.
   struct staged {
-    u32 key;
     u64 dist;
+    u32 key;
     u32 hops;
   };
-  u32 n_;
+  using cursor = std::vector<held_entry>::const_iterator;
+  /// True when an entry for `key`, from `at` on, dominates (dist, hops).
+  static bool dominated(cursor at, cursor end, u32 key, u64 dist, u32 hops) {
+    for (; at != end && at->key == key; ++at)
+      if (at->dist <= dist && at->hops <= hops) return true;
+    return false;
+  }
+  /// Adds x unless dominated, dropping the entries x dominates; true when
+  /// added.
+  static bool insert(std::vector<held_entry>& set, const held_entry& x) {
+    const auto lo = std::lower_bound(
+        set.begin(), set.end(), x.key,
+        [](const held_entry& e, u32 key) { return e.key < key; });
+    if (dominated(lo, set.cend(), x.key, x.dist, x.hops)) return false;
+    const auto hi = std::find_if(
+        lo, set.end(), [&](const held_entry& e) { return e.key != x.key; });
+    const auto kept = std::remove_if(lo, hi, [&](const held_entry& e) {
+      return e.dist >= x.dist && e.hops >= x.hops;
+    });
+    const auto at = std::lower_bound(lo, kept, x.dist,
+                                     [](const held_entry& e, u64 d) {
+                                       return e.dist < d;
+                                     }) -
+                    set.begin();
+    set.erase(kept, hi);
+    set.insert(set.begin() + at, x);
+    return true;
+  }
+
+  const sparse_exploration_result& ref_;
   u32 h_;
   const std::vector<root>& roots_;
-  Sets empty_;
   bool unit_;
-  const sparse_exploration_result& ref_;
-  std::vector<Sets> cur_;
+  const std::vector<u64>* words_;
+  std::vector<std::vector<held_entry>> cur_;
   /// Acceptances staged per round and merged after the barrier: steps read
   /// other nodes' cur_ (docs/CONCURRENCY.md).
   std::vector<std::vector<staged>> add_;
@@ -474,20 +443,20 @@ struct heal_spec {
   u32 attempts = 1;
 };
 
-/// The re-offer loop. `Held` supplies reset() (seed the roots), pull(v, e,
-/// offer) (enumerate e.to's offers to v in policy order, calling
+/// The re-offer loop over `held`: reset() seeds the roots; each round
+/// pull(v, e, offer) enumerates e.to's offers to v in key order, calling
 /// offer(count, stamp, cost) → delivered per item and staging what v
-/// accepts), merge(v, iteration) → changed, and referee() (null when the
-/// converged state is the reliable fixed point, else why it is not — a
-/// fault_failure).
+/// accepts; merge(v, iteration) → changed runs after the barrier; at the
+/// end referee() (null when the converged state is the reliable fixed
+/// point, else why it is not) decides between success and fault_failure.
 /// An offer in a later iteration than stamp + 1 is a retransmission
 /// (docs/FAULTS.md §2), counted whether or not the copy is then dropped.
 /// Rounds always advance: a frozen counter would re-roll the same drops
 /// forever, so callers with a frozen budget pass nominal 0 and see every
 /// round as extra_rounds. A final failure surfaces every round spent as
 /// extra_rounds before the fault_failure propagates.
-template <class Held>
-void reoffer(hybrid_net& net, Held& held, const heal_spec& spec) {
+inline void reoffer(hybrid_net& net, pareto_held& held,
+                    const heal_spec& spec) {
   const graph& g = net.g();
   const u32 n = g.num_nodes();
   const fault_options& fo = net.faults();

@@ -5,8 +5,8 @@
 // the same triples and charge the same rounds and traffic — the store is
 // the only difference (the differential suite asserts it, triples and
 // metrics both). explore_adjacency is the same loop, free, over an
-// explicit adjacency list; the healed engine is the re-offer loop with
-// Pareto sets in insertion order, refereed by the relaxation loop run free.
+// explicit adjacency list; the healed engine is the re-offer loop,
+// refereed by the relaxation loop run free.
 #include "proto/sparse_exploration.hpp"
 
 #include "proto/local_engine.hpp"
@@ -133,7 +133,7 @@ sparse_exploration_result healed_local_exploration(
   const graph_edges edges{net.g(), unit_weights};
   const sparse_exploration_result ref = explore_sparse(
       n, h, roots, edges, round_policy::free(net.executor()), first_hops);
-  pareto_held held(n, h, roots, insertion_sets{}, unit_weights, ref);
+  pareto_held held(ref, h, roots, unit_weights);
   // Nominal budget h when advancing, 0 when not: the run-in-parallel trick
   // is unavailable under faults, so every round spent is then overhead.
   // Random schedules converge with overwhelming probability within four

@@ -140,7 +140,7 @@ sparse_exploration_result explore_adjacency(
 /// §3) — the engine behind every exploration entry point (sparse, dense,
 /// full_local_exploration, truncated_eccentricity) once
 /// hybrid_net::local_faults_active(). It is the re-offer loop of
-/// proto/local_engine.hpp with Pareto sets in insertion order, under the
+/// proto/local_engine.hpp with Pareto sets in key order, under the
 /// same correct-or-explicitly-failed contract as the healed floods: per
 /// node it keeps Pareto-minimal (dist, hops) sets per source with
 /// per-entry epoch stamps, re-offers every extendable entry each round
