@@ -9,6 +9,7 @@
 // from library code.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -26,6 +27,17 @@ inline void* counted_alloc(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
+}
+
+/// Over-aligned types (alignof > __STDCPP_DEFAULT_NEW_ALIGNMENT__, e.g. the
+/// 32-byte global_msg) allocate through the align_val_t overloads, which
+/// the plain replacements above never see; count them too. aligned_alloc
+/// needs a size that is a multiple of the alignment; free releases it.
+inline void* counted_aligned_alloc(std::size_t size, std::align_val_t al) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(al);
+  const std::size_t rounded = (std::max<std::size_t>(size, 1) + a - 1) / a * a;
+  return std::aligned_alloc(a, rounded);
 }
 
 }  // namespace benchalloc
@@ -48,5 +60,37 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void* operator new(std::size_t size, std::align_val_t al) {
+  if (void* p = benchalloc::counted_aligned_alloc(size, al)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t al) {
+  if (void* p = benchalloc::counted_aligned_alloc(size, al)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, std::align_val_t al,
+                   const std::nothrow_t&) noexcept {
+  return benchalloc::counted_aligned_alloc(size, al);
+}
+void* operator new[](std::size_t size, std::align_val_t al,
+                     const std::nothrow_t&) noexcept {
+  return benchalloc::counted_aligned_alloc(size, al);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }

@@ -15,6 +15,9 @@ struct node_state {
   std::vector<u32> known;      // token indices in arrival order
   std::vector<u64> known_bit;  // bitset over token indices
   std::vector<u32> fresh;      // learned since last local flood
+  // Pulled from neighbors this round, learned after the barrier; cleared
+  // by the learn pass with its capacity kept, so rounds stop allocating.
+  std::vector<u32> inject;
   // Seeding queue: (token index, copies still to send).
   std::vector<std::pair<u32, u32>> seed_queue;
 
@@ -79,10 +82,21 @@ dissemination_result disseminate(hybrid_net& net,
     }
   }
 
+  // "I know all k tokens and my seed queue is empty".
+  auto node_done = [&](u32 v) {
+    return st[v].known.size() == k && st[v].seed_queue.empty();
+  };
   auto all_done = [&]() {
     for (u32 v = 0; v < n; ++v)
-      if (st[v].known.size() != k || !st[v].seed_queue.empty()) return false;
+      if (!node_done(v)) return false;
     return true;
+  };
+  // The AND-aggregation over node_done, one flags vector reused by every
+  // termination check.
+  std::vector<u64> flags(n);
+  auto terminated = [&]() {
+    for (u32 v = 0; v < n; ++v) flags[v] = node_done(v) ? 1 : 0;
+    return global_aggregate(net, agg_op::logical_and, flags) == 1;
   };
 
   const u32 cadence = 16;  // gossip rounds between termination checks
@@ -111,7 +125,6 @@ dissemination_result disseminate(hybrid_net& net,
       // pull side of the local flood run node-parallel: node v draws from
       // its (seed, v, round) stream, spends its own γ budget, and collects
       // fresh tokens from its neighbors' frozen fresh-lists.
-      std::vector<std::vector<u32>> inject(n);
       const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
         if (lf) dropped[v] = 0;
         if (!net.is_up(v)) return 0;  // fail-pause: no sends, no pulls
@@ -145,7 +158,7 @@ dissemination_result disseminate(hybrid_net& net,
               continue;
             }
             const u32 idx = from[j];
-            if (!st[v].knows(idx)) inject[v].push_back(idx);
+            if (!st[v].knows(idx)) st[v].inject.push_back(idx);
           }
         }
         return mine;
@@ -165,8 +178,9 @@ dissemination_result disseminate(hybrid_net& net,
       net.note_local_delivered(items - lost);
       net.advance_round();
       exec.for_nodes(n, [&](u32 v) {
-        for (u32 idx : inject[v])
+        for (u32 idx : st[v].inject)
           if (!st[v].knows(idx)) st[v].learn(idx);
+        st[v].inject.clear();
         for (const global_msg& m : net.global_inbox(v)) {
           if (m.tag != kTokenTag) continue;
           const u32 idx = static_cast<u32>(m.w[2]);
@@ -175,20 +189,10 @@ dissemination_result disseminate(hybrid_net& net,
       });
       // Termination check at fixed cadence (aggregation rounds are charged
       // by global_aggregate itself).
-      if ((r + 1) % cadence == 0) {
-        std::vector<u64> flags(n);
-        for (u32 v = 0; v < n; ++v)
-          flags[v] =
-              (st[v].known.size() == k && st[v].seed_queue.empty()) ? 1 : 0;
-        done = global_aggregate(net, agg_op::logical_and, flags) == 1;
-      }
+      if ((r + 1) % cadence == 0) done = terminated();
     }
     if (!done) {
-      std::vector<u64> flags(n);
-      for (u32 v = 0; v < n; ++v)
-        flags[v] =
-            (st[v].known.size() == k && st[v].seed_queue.empty()) ? 1 : 0;
-      done = global_aggregate(net, agg_op::logical_and, flags) == 1;
+      done = terminated();
       if (!done && faulty && spent >= fail_budget)
         throw fault_failure("dissemination healing budget exhausted");
       budget *= 2;
@@ -200,6 +204,9 @@ dissemination_result disseminate(hybrid_net& net,
   if (faulty && spent > budget0) net.note_extra_rounds(spent - budget0);
   HYB_INVARIANT(all_done(), "dissemination terminated before completion");
   out.rounds_used = net.round() - start_round;
+  // The γ-saturated gossip grew both mailbox arenas to n·γ slots; hand them
+  // back before the global-silent phases that typically follow.
+  net.trim_mailboxes();
   return out;
 }
 

@@ -165,9 +165,9 @@ static std::vector<std::vector<routed_token>> charged_route_tokens(
   std::vector<u32> receiver_pos(n, ~u32{0});
   for (u32 i = 0; i < spec.receivers.size(); ++i)
     receiver_pos[spec.receivers[i]] = i;
-  // The γ-saturated phases before a charged route (dissemination) leave
-  // n·γ-slot arenas behind; nothing global moves while the stand-in runs,
-  // so release them (memory only, they regrow on demand).
+  // Global phases before a charged route can leave n·γ-slot arenas behind
+  // (dissemination trims its own); nothing global moves while the stand-in
+  // runs, so release them (memory only, they regrow on demand).
   net.trim_mailboxes();
   std::vector<std::vector<routed_token>> delivered(spec.receivers.size());
   // One pass: validate, hand each token to its receiver slot, release each
@@ -474,7 +474,7 @@ std::vector<std::vector<routed_token>> route_tokens(
           }
           case kRequestTag: {
             if (store[v].contains(m.w[0]))
-              answer_queue[v].push_back({m.w[0], m.src});
+              answer_queue[v].push_back({m.w[0], static_cast<u32>(m.src)});
             else
               pending[v][m.w[0]].push_back(m.src);
             break;

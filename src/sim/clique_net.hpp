@@ -92,9 +92,6 @@ class clique_net {
   std::vector<u8> down_cur_;
   std::vector<u8> down_next_;
   flat_mailbox<clique_msg>::drop_filter drop_filter_;
-  /// Per-shard receive-load maxima for advance_round's reduction; a member
-  /// so steady-state rounds stay allocation-free.
-  std::vector<u64> recv_scratch_;
 };
 
 }  // namespace hybrid

@@ -9,18 +9,31 @@ namespace hybrid {
 
 global_msg global_msg::make(u32 src, u32 dst, u32 tag,
                             std::initializer_list<u64> words) {
+  HYB_REQUIRE(src < kMaxNodes && dst < kMaxNodes,
+              "message endpoint exceeds the 23-bit node id");
+  HYB_REQUIRE(tag < (u32{1} << kTagBits), "message tag exceeds 16 bits");
   global_msg m;
+  HYB_REQUIRE(words.size() <= m.w.size(), "payload exceeds message capacity");
   m.src = src;
   m.dst = dst;
   m.tag = tag;
-  HYB_REQUIRE(words.size() <= m.w.size(), "payload exceeds message capacity");
-  u8 i = 0;
+  u32 i = 0;
   for (u64 x : words) m.w[i++] = x;
   m.nw = i;
   return m;
 }
 
 namespace {
+
+/// Validates n before any n-sized allocation (the mailbox arenas are built
+/// in the member initializers).
+u32 checked_node_count(const graph& g) {
+  const u32 n = g.num_nodes();
+  HYB_REQUIRE(n >= 2, "HYBRID networks need at least two nodes");
+  HYB_REQUIRE(n <= global_msg::kMaxNodes,
+              "HYBRID networks support at most 2^23 nodes (global_msg ids)");
+  return n;
+}
 
 u32 compute_global_cap(const model_config& cfg, u32 n) {
   return std::max<u32>(
@@ -35,7 +48,7 @@ hybrid_net::hybrid_net(const graph& g, model_config cfg, u64 seed,
       cfg_(cfg),
       opts_(opts),
       exec_(opts),
-      global_cap_(compute_global_cap(cfg, g.num_nodes())),
+      global_cap_(compute_global_cap(cfg, checked_node_count(g))),
       // Slabs start at 8 slots, not γ: an idle or send-light network pays
       // O(n) idle memory instead of O(n·γ), and γ-saturating protocols
       // re-stride to γ once at the first barrier and are overflow- and
@@ -44,7 +57,6 @@ hybrid_net::hybrid_net(const graph& g, model_config cfg, u64 seed,
       node_rng_(g.num_nodes()),
       seed_(seed),
       public_rng_(derive_seed(seed, ~u64{0})) {
-  HYB_REQUIRE(g.num_nodes() >= 2, "HYBRID networks need at least two nodes");
   const u32 logn = id_bits(g.num_nodes());
   hash_independence_ = std::max<u32>(
       2, static_cast<u32>(std::ceil(cfg.hash_independence_mult * logn)));
@@ -139,38 +151,27 @@ void hybrid_net::advance_round() {
   metrics_.global_messages += delivered;
   metrics_.global_sent += mail_.sent_last_round();
   metrics_.global_dropped += mail_.dropped_last_round();
-  if (delivered == 0) return;
-  // One fused parallel pass over the delivered slices: per-shard
-  // {payload words, cut bits, max recv}, combined in shard order. Sum and
-  // max are order-insensitive, so every counter is thread-count-invariant
-  // (docs/CONCURRENCY.md §5), and each message is visited exactly once.
+  // Payload words and the largest inbox come out of delivery itself (count
+  // pass and prefix pass); only cut accounting re-reads the inboxes.
+  metrics_.global_payload_words += mail_.payload_words_last_round();
+  metrics_.max_global_recv_per_round = std::max(
+      metrics_.max_global_recv_per_round, mail_.max_inbox_last_round());
+  if (delivered == 0 || cut_side_.empty()) return;
+  // Per-shard cut bits over the delivered slices, combined in shard order;
+  // the sum is order-insensitive, so it is thread-count-invariant
+  // (docs/CONCURRENCY.md §5).
   const u32 shards = exec_.shard_count(n());
-  delivery_scratch_.assign(shards, {});
-  const u8* cut = cut_side_.empty() ? nullptr : cut_side_.data();
+  cut_scratch_.assign(shards, 0);
+  const u8* cut = cut_side_.data();
   exec_.for_shards(n(), [&](u32 s, u32 begin, u32 end) {
-    delivery_acc a;
-    for (u32 v = begin; v < end; ++v) {
-      const auto box = mail_.inbox(v);
-      a.max_recv = std::max(a.max_recv, static_cast<u64>(box.size()));
-      for (const global_msg& m : box) {
-        a.payload_words += m.nw;
-        if (cut && cut[m.src] != cut[m.dst])
-          a.cut_bits += static_cast<u64>(m.nw) * 64 + header_bits_;
-      }
-    }
-    delivery_scratch_[s] = a;
+    u64 bits = 0;
+    for (u32 v = begin; v < end; ++v)
+      for (const global_msg& m : mail_.inbox(v))
+        if (cut[m.src] != cut[m.dst])
+          bits += static_cast<u64>(m.nw) * 64 + header_bits_;
+    cut_scratch_[s] = bits;
   });
-  delivery_acc total;
-  for (const delivery_acc& a : delivery_scratch_) {
-    total.payload_words += a.payload_words;
-    total.cut_bits += a.cut_bits;
-    total.max_recv = std::max(total.max_recv, a.max_recv);
-  }
-  metrics_.global_payload_words += total.payload_words;
-  metrics_.cut_bits += total.cut_bits;
-  metrics_.max_global_recv_per_round =
-      std::max(metrics_.max_global_recv_per_round,
-               static_cast<u32>(total.max_recv));
+  for (u64 bits : cut_scratch_) metrics_.cut_bits += bits;
 }
 
 bool hybrid_net::try_send_global(const global_msg& m) {

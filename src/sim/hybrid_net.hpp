@@ -67,9 +67,9 @@ struct model_config {
   /// everything stays message-level simulated. The exact path takes
   /// 2.5 s / 227 MB at n = 4096 and 7.7 s / 771 MB at n = 8192 on
   /// bench_apsp's label_oracle inputs, where the stand-in over-charges
-  /// rounds 19–25×; it is kept for n ≥ 30000, where µ ≈ √n exceeds the
-  /// graph diameter and the member lists of "every node learns its whole
-  /// cluster" are still Σ|cluster|² = n² entries.
+  /// rounds 19–25×. Only the single-level pipelines read the flag: the
+  /// two-level label path (every n ≥ 30000 run) never routes tokens, so
+  /// there it changes neither rounds, messages nor results.
   bool charged_token_routing = false;
   /// Optional node bipartition for Section-7-style cut accounting; when its
   /// size equals n it is registered at network construction, so the full
@@ -77,16 +77,26 @@ struct model_config {
   std::vector<u8> cut_side;
 };
 
-struct global_msg {
-  u32 src = 0;
-  u32 dst = 0;
-  u32 tag = 0;
+/// One NCC message: a packed 64-bit header plus three payload words, 32
+/// bytes on a 32-byte boundary, so no record crosses a cache line and the
+/// mailbox moves no padding. Node ids are 23 bits (hybrid_net refuses
+/// n > 2²³), tags 16 bits, nw ≤ 3. make() rejects any field that does not
+/// fit; direct member stores truncate, like any bit-field.
+struct alignas(32) global_msg {
+  static constexpr u32 kNodeBits = 23;
+  static constexpr u32 kTagBits = 16;
+  static constexpr u32 kMaxNodes = u32{1} << kNodeBits;
+
+  u64 src : kNodeBits = 0;
+  u64 dst : kNodeBits = 0;
+  u64 tag : kTagBits = 0;
+  u64 nw : 2 = 0;
   std::array<u64, 3> w{};  ///< payload words (w[0..nw))
-  u8 nw = 0;
 
   static global_msg make(u32 src, u32 dst, u32 tag,
                          std::initializer_list<u64> words);
 };
+static_assert(sizeof(global_msg) == 32 && alignof(global_msg) == 32);
 
 class hybrid_net {
  public:
@@ -135,8 +145,9 @@ class hybrid_net {
   /// growing after warm-up).
   mailbox_stats global_mailbox_stats() const { return mail_.stats(); }
   /// Release the mailbox high-water arenas (memory only, they regrow on
-  /// demand; sim/mailbox.hpp trim()). Used by the large-n label pipelines
-  /// before long global-silent stretches. Orchestrating thread only.
+  /// demand; sim/mailbox.hpp trim()). disseminate() calls it before it
+  /// returns, token routing before its long global-silent stretches.
+  /// Orchestrating thread only.
   void trim_mailboxes() { mail_.trim(); }
 
   // ---- LOCAL mode accounting -------------------------------------------
@@ -256,14 +267,9 @@ class hybrid_net {
   u32 header_bits_;
 
   flat_mailbox<global_msg> mail_;
-  /// Per-shard metric accumulators for advance_round's fused delivery
-  /// reduction; a member so steady-state rounds stay allocation-free.
-  struct delivery_acc {
-    u64 payload_words = 0;
-    u64 cut_bits = 0;
-    u64 max_recv = 0;
-  };
-  std::vector<delivery_acc> delivery_scratch_;
+  /// Per-shard cut bits for advance_round's cut reduction (only while a cut
+  /// is registered); a member so steady-state rounds stay allocation-free.
+  std::vector<u64> cut_scratch_;
 
   std::vector<std::optional<rng>> node_rng_;
   /// Per-node round_rng stream ids, derived once at construction (they are

@@ -45,7 +45,10 @@
 //     Slices are filled shard-ascending and shards are contiguous
 //     ascending node ranges, so every inbox ends up sorted by
 //     (src, send-index): bit-identical to the old sequential scan at every
-//     thread count (docs/CONCURRENCY.md §5).
+//     thread count (docs/CONCURRENCY.md §5). The count pass also sums the
+//     kept messages' payload words and the prefix pass keeps the largest
+//     kept column, so the simulators read those round counters off
+//     delivery instead of re-reading every delivered message.
 //
 // All buffers are high-water-marked and reused across rounds; after a short
 // warm-up a round performs zero heap allocations (asserted by
@@ -82,7 +85,8 @@ struct mailbox_stats {
   u64 dropped_total = 0;  ///< pushes removed by deliver()'s drop filter
 };
 
-/// Msg must expose `u32 src` / `u32 dst` members (global_msg, clique_msg).
+/// Msg must expose `src`, `dst` and `nw` (payload word count) members
+/// (global_msg, clique_msg).
 template <class Msg>
 class flat_mailbox {
  public:
@@ -93,7 +97,8 @@ class flat_mailbox {
   flat_mailbox(u32 n, u32 per_node_cap, u32 initial_stride)
       : n_(n),
         cap_(std::max<u32>(1, per_node_cap)),
-        stride_(std::clamp<u32>(initial_stride, 1, cap_)),
+        initial_stride_(std::clamp<u32>(initial_stride, 1, cap_)),
+        stride_(initial_stride_),
         out_arena_(static_cast<std::size_t>(n) * stride_),
         out_count_(n, 0),
         overflow_(n),
@@ -130,6 +135,12 @@ class flat_mailbox {
   u64 delivered_last_round() const { return delivered_last_; }
   u64 sent_last_round() const { return sent_last_; }
   u64 dropped_last_round() const { return sent_last_ - delivered_last_; }
+  /// Payload words (Σ nw) of the messages delivered at the last deliver(),
+  /// summed in its count pass over kept messages only.
+  u64 payload_words_last_round() const { return words_last_; }
+  /// Largest inbox of the last deliver(): the largest kept column total
+  /// of its prefix pass.
+  u32 max_inbox_last_round() const { return max_inbox_last_; }
 
   /// Drop predicate for fault injection: true = the message is lost.
   /// Must be a pure function of its arguments; it runs exactly once per
@@ -160,6 +171,8 @@ class flat_mailbox {
         std::fill(in_begin_.begin(), in_begin_.end(), 0);
       delivered_last_ = 0;
       sent_last_ = 0;
+      words_last_ = 0;
+      max_inbox_last_ = 0;
       return;
     }
 
@@ -176,6 +189,7 @@ class flat_mailbox {
       totals_.assign(cols, 0);
       ++grow_events_;
     }
+    if (shard_words_.size() != shards) shard_words_.assign(shards, 0);
     // Tail shards can be empty (their count rows stay stale); the prefix
     // pass below must only read rows of shards that actually ran.
     u32 active = shards;
@@ -242,13 +256,16 @@ class flat_mailbox {
     // (b) Exclusive prefix over the totals: in_begin_[d] becomes the start
     // of d's inbox slice and totals_[d] the column's first free slot. The
     // sentinel column's slots — the trash region dropped messages scatter
-    // into — sit after every kept slice, so inboxes never see them.
+    // into — sit after every kept slice, so inboxes never see them. The
+    // largest kept column is the round's largest inbox.
     u64 total = 0;
+    u32 max_inbox = 0;
     for (u32 d = 0; d < n_; ++d) {
       in_begin_[d] = static_cast<u32>(total);
       const u32 cnt = totals_[d];
       totals_[d] = static_cast<u32>(total);
       total += cnt;
+      max_inbox = std::max(max_inbox, cnt);
     }
     const u64 dropped_now = totals_[n_];
     in_begin_[n_] = static_cast<u32>(total);
@@ -257,6 +274,9 @@ class flat_mailbox {
                   "round message volume overflows u32");
     delivered_last_ = total;
     delivered_total_ += total;
+    max_inbox_last_ = max_inbox;
+    words_last_ = 0;
+    for (u32 s = 0; s < active; ++s) words_last_ += shard_words_[s];
 
     // (c) Convert each count row into scatter cursors: cursor[s][d] =
     // column start + messages of earlier shards. Row-contiguous again.
@@ -324,27 +344,34 @@ class flat_mailbox {
             dropped_total_};
   }
 
-  /// Release the high-water arenas back to their construction size (memory
-  /// only — no observable change; they regrow on demand). For long idle
-  /// stretches at large n, e.g. after a γ-saturated phase whose arenas
-  /// (n·γ slots both sides) would otherwise sit on hundreds of MB while a
-  /// charged stand-in or LOCAL-only phase runs. Orchestrating thread only,
-  /// between rounds (nothing queued, previous inboxes no longer read).
+  /// Release the high-water arenas back to their construction size: the
+  /// outbox returns to n · initial_stride slots (the stride the mailbox was
+  /// built with, min(γ, 8) in the HYBRID simulator), every other buffer to
+  /// empty. Memory only — no observable change; they regrow on demand, and
+  /// a γ-saturated round after a trim delivers exactly what it would have
+  /// untrimmed. For long global-silent stretches at large n: a γ-saturated
+  /// phase's arenas (n·γ slots both sides) would otherwise sit on hundreds
+  /// of MB under the LOCAL-only phases that follow, so disseminate() trims
+  /// before it returns. Orchestrating thread only, between rounds (nothing
+  /// queued, previous inboxes no longer read).
   void trim() {
     HYB_INVARIANT(std::all_of(out_count_.begin(), out_count_.end(),
                               [](u32 c) { return c == 0; }),
                   "trim with queued sends");
-    stride_ = 1;
-    std::vector<Msg>(static_cast<std::size_t>(n_)).swap(out_arena_);
+    stride_ = initial_stride_;
+    std::vector<Msg>(static_cast<std::size_t>(n_) * stride_).swap(out_arena_);
     std::vector<Msg>().swap(in_arena_);
     std::vector<u32>().swap(counts_);
     std::vector<u32>().swap(totals_);
     std::vector<u32>().swap(keys_);
     std::vector<u64>().swap(key_begin_);
+    std::vector<u64>().swap(shard_words_);
     std::fill(in_begin_.begin(), in_begin_.end(), 0);
     for (auto& spill : overflow_) std::vector<Msg>().swap(spill);
     delivered_last_ = 0;
     sent_last_ = 0;
+    words_last_ = 0;
+    max_inbox_last_ = 0;
     ++grow_events_;
   }
 
@@ -359,26 +386,35 @@ class flat_mailbox {
     for (u32 i = in_slab; i < count; ++i) f(overflow_[src][i - in_slab]);
   }
 
-  /// Delivery pass 1 for one shard (parallel; writes only row s of counts_
-  /// and shard s's key-stream segment). active_drop_ is set by deliver().
+  /// Delivery pass 1 for one shard (parallel; writes only row s of counts_,
+  /// shard s's key-stream segment and shard_words_[s]). active_drop_ is set
+  /// by deliver(). Payload words are summed here, over kept messages only,
+  /// so no pass re-reads the delivered messages for them.
   void count_shard(u32 s, u32 begin, u32 end) {
     const std::size_t cols = static_cast<std::size_t>(n_) + 1;
     u32* row = counts_.data() + static_cast<std::size_t>(s) * cols;
     std::fill_n(row, cols, 0);
+    u64 words = 0;
     if (active_drop_ == nullptr) {
       for (u32 src = begin; src < end; ++src)
-        for_each_out(src, [&](const Msg& m) { ++row[m.dst]; });
+        for_each_out(src, [&](const Msg& m) {
+          ++row[m.dst];
+          words += m.nw;
+        });
     } else {
       u32* keys = keys_.data() + key_begin_[s];
       u32 k = 0;
       for (u32 src = begin; src < end; ++src) {
         u32 i = 0;
         for_each_out(src, [&](const Msg& m) {
-          keys[k++] = (*active_drop_)(src, i++, m) ? n_ : m.dst;
+          const bool lost = (*active_drop_)(src, i++, m);
+          keys[k++] = lost ? n_ : static_cast<u32>(m.dst);
+          words += lost ? 0 : m.nw;
         });
       }
       for (u32 j = 0; j < k; ++j) ++row[keys[j]];
     }
+    shard_words_[s] = words;
   }
 
   /// Delivery pass 2 for one shard (parallel; writes only the arena slices
@@ -401,6 +437,7 @@ class flat_mailbox {
 
   u32 n_;
   u32 cap_;
+  u32 initial_stride_;           ///< construction slab width (trim target)
   u32 stride_;
   std::vector<Msg> out_arena_;   ///< n · stride slots, slab per node
   std::vector<u32> out_count_;   ///< sends this round, per node
@@ -414,10 +451,13 @@ class flat_mailbox {
   std::vector<u32> keys_;        ///< per-shard contiguous dst-key streams
                                  ///< (sentinel n = dropped), high-water
   std::vector<u64> key_begin_;   ///< key-stream offset per shard, size T+1
+  std::vector<u64> shard_words_;  ///< count-pass payload words per shard
   const drop_filter* active_drop_ = nullptr;  ///< this deliver()'s filter
   u64 delivered_last_ = 0;
   u64 delivered_total_ = 0;
   u64 sent_last_ = 0;
+  u64 words_last_ = 0;
+  u32 max_inbox_last_ = 0;
   u64 sent_total_ = 0;
   u64 dropped_total_ = 0;
   u64 overflow_total_ = 0;

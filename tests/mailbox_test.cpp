@@ -1,8 +1,9 @@
 // Tests for the flat-arena mailbox delivery path (sim/mailbox.hpp):
 // (src, send-index) inbox ordering, bit-identical delivery and receive-load
 // metrics across thread counts, arena reuse (no heap growth after warm-up,
-// probed via mailbox stats), γ-cap saturation on the flat outbox, and the
-// clique mirror's overflow/re-stride path. Run under -fsanitize=thread this
+// probed via mailbox stats), γ-cap saturation on the flat outbox, the
+// clique mirror's overflow/re-stride path, the counters delivery folds into
+// its count and prefix passes, and dissemination's arena trim. Run under -fsanitize=thread this
 // suite doubles as a race detector for the parallel counting sort (the TSAN
 // CI job does exactly that).
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "proto/dissemination.hpp"
 #include "sim/clique_net.hpp"
 #include "sim/hybrid_net.hpp"
 #include "util/rng.hpp"
@@ -344,6 +346,123 @@ TEST(FlatMailbox, EmptyRoundsDeliverNothingAndResetInboxes) {
   net.advance_round();
   for (u32 v = 0; v < 4; ++v) EXPECT_TRUE(net.global_inbox(v).empty());
   EXPECT_EQ(net.raw_metrics().global_messages, 1u);
+}
+
+// Delivery folds payload words into its count pass and the largest inbox
+// into its prefix pass; only cut bits still re-read the inboxes. All three
+// must equal a brute-force recount over the delivered inboxes, with and
+// without a cut, with and without global drops, at every thread count.
+TEST(FlatMailbox, FoldedCountersMatchInboxRecount) {
+  const u32 n = 257;
+  const graph g = gen::erdos_renyi_connected(n, 4.0, 1, 13);
+  const u64 header_bits = 2 * id_bits(n);
+  for (bool with_cut : {false, true})
+    for (bool with_drops : {false, true})
+      for (u32 threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(testing::Message() << "cut " << with_cut << " drops "
+                                        << with_drops << " threads "
+                                        << threads);
+        sim_options opts{threads};
+        if (with_drops) {
+          opts.faults.drop_global = 0.3;
+          opts.faults.fault_seed = 5;
+        }
+        hybrid_net net(g, model_config{}, 17, opts);
+        std::vector<u8> side(n);
+        if (with_cut) {
+          for (u32 v = 0; v < n; ++v) side[v] = (v * 7 + 3) % 5 < 2;
+          net.set_cut(side);
+        }
+        u64 messages = 0, words = 0, cut_bits = 0;
+        u32 max_recv = 0;
+        for (u32 r = 0; r < 10; ++r) {
+          // Round 4 is silent: the empty-round fast path must reset the
+          // folded counters too.
+          if (r != 4)
+            net.executor().for_nodes(n, [&](u32 v) {
+              rng rv = net.round_rng(v);
+              const u32 k =
+                  static_cast<u32>(rv.next_below(net.global_cap() + 1));
+              for (u32 i = 0; i < k; ++i) {
+                // A third of the traffic hits eight hot nodes, so the
+                // largest inbox is well above the mean.
+                const u32 dst = static_cast<u32>(
+                    rv.next_below(3) == 0 ? rv.next_below(8)
+                                          : rv.next_below(n));
+                global_msg m = global_msg::make(v, dst, i, {});
+                m.nw = static_cast<u32>(rv.next_below(4));
+                for (u32 j = 0; j < m.nw; ++j) m.w[j] = rv.next();
+                ASSERT_TRUE(net.try_send_global(m));
+              }
+            });
+          net.advance_round();
+          for (u32 v = 0; v < n; ++v) {
+            const auto box = net.global_inbox(v);
+            messages += box.size();
+            max_recv = std::max(max_recv, static_cast<u32>(box.size()));
+            for (const global_msg& m : box) {
+              words += m.nw;
+              if (with_cut && side[m.src] != side[m.dst])
+                cut_bits += u64{m.nw} * 64 + header_bits;
+            }
+          }
+        }
+        const run_metrics& got = net.raw_metrics();
+        EXPECT_EQ(got.global_messages, messages);
+        EXPECT_EQ(got.global_payload_words, words);
+        EXPECT_EQ(got.max_global_recv_per_round, max_recv);
+        EXPECT_EQ(got.cut_bits, cut_bits);
+        EXPECT_EQ(with_cut, cut_bits > 0);
+        EXPECT_EQ(with_drops, got.global_dropped > 0);
+      }
+}
+
+// disseminate() hands its γ-saturated arenas back before it returns, and a
+// trimmed mailbox regrows transparently: the next γ-saturated round
+// delivers exactly the inboxes a never-trimmed, warmed-up net delivers.
+TEST(FlatMailbox, DisseminateTrimsArenasAndRegrowsTransparently) {
+  const u32 n = 128;
+  const graph g = gen::erdos_renyi_connected(n, 4.0, 1, 7);
+  hybrid_net trimmed(g, model_config{}, 5, sim_options{2});
+  const u32 gamma = trimmed.global_cap();
+  const u32 construction_stride = std::min(gamma, 8u);
+  ASSERT_GT(gamma, construction_stride);  // the gossip must outgrow it
+  std::vector<std::vector<token2>> initial(n);
+  for (u32 v = 0; v < n; v += 3) initial[v].push_back({v, u64{v} * 7});
+  disseminate(trimmed, initial);
+  const mailbox_stats after = trimmed.global_mailbox_stats();
+  EXPECT_EQ(after.inbox_slots, 0u);
+  EXPECT_EQ(after.stride, construction_stride);
+  EXPECT_EQ(after.outbox_slots, u64{n} * construction_stride);
+  EXPECT_GT(after.delivered_total, u64{n} * gamma);  // it did saturate
+
+  // Message content depends only on (salt, v), never on the net's round,
+  // so both nets send the same γ-saturated batch.
+  auto saturate = [&](hybrid_net& net, u64 salt) {
+    net.executor().for_nodes(n, [&](u32 v) {
+      rng rv(derive_seed(salt, v));
+      u32 i = 0;
+      while (net.global_budget(v) > 0) {
+        const u32 dst = static_cast<u32>(rv.next_below(n));
+        ASSERT_TRUE(net.try_send_global(
+            global_msg::make(v, dst, i++, {rv.next(), salt})));
+      }
+    });
+    net.advance_round();
+  };
+  hybrid_net warm(g, model_config{}, 5, sim_options{2});
+  saturate(warm, 1);
+  saturate(warm, 2);
+  ASSERT_EQ(warm.global_mailbox_stats().stride, gamma);
+  saturate(trimmed, 3);
+  saturate(warm, 3);
+  EXPECT_EQ(trimmed.global_mailbox_stats().delivered_last_round,
+            u64{n} * gamma);
+  EXPECT_EQ(trimmed.global_mailbox_stats().stride, gamma);
+  for (u32 v = 0; v < n; ++v)
+    EXPECT_EQ(inbox_digest(trimmed.global_inbox(v)),
+              inbox_digest(warm.global_inbox(v)))
+        << v;
 }
 
 }  // namespace

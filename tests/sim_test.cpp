@@ -74,6 +74,39 @@ TEST(HybridNet, CutAccountingCountsCrossingBitsOnly) {
   EXPECT_EQ(net.raw_metrics().cut_bits, 2u * 64 + 2u * 3);
 }
 
+// global_msg packs src/dst into 23 bits, tag into 16 and nw into 2; make()
+// must carry every representable value through and refuse the rest rather
+// than truncate it.
+TEST(GlobalMsg, MakeRoundTripsBoundariesAndRejectsOverflow) {
+  const u32 max_id = (u32{1} << 23) - 1;
+  const std::initializer_list<u64> payloads[] = {
+      {}, {~u64{0}}, {1, 2}, {~u64{0}, 0, ~u64{0} - 1}};
+  for (u32 nw = 0; nw <= 3; ++nw) {
+    const global_msg m = global_msg::make(max_id, max_id, 0xFFFF, payloads[nw]);
+    EXPECT_EQ(m.src, max_id);
+    EXPECT_EQ(m.dst, max_id);
+    EXPECT_EQ(m.tag, 0xFFFFu);
+    EXPECT_EQ(m.nw, nw);
+    u32 i = 0;
+    for (u64 x : payloads[nw]) EXPECT_EQ(m.w[i++], x) << nw;
+  }
+  const global_msg zero = global_msg::make(0, 0, 0, {});
+  EXPECT_EQ(zero.src, 0u);
+  EXPECT_EQ(zero.dst, 0u);
+  EXPECT_EQ(zero.tag, 0u);
+  EXPECT_EQ(zero.nw, 0u);
+  // One field at its limit must not bleed into its neighbours.
+  const global_msg lone = global_msg::make(0, max_id, 0, {});
+  EXPECT_EQ(lone.src, 0u);
+  EXPECT_EQ(lone.tag, 0u);
+  EXPECT_EQ(lone.nw, 0u);
+
+  EXPECT_THROW(global_msg::make(max_id + 1, 0, 0, {}), std::invalid_argument);
+  EXPECT_THROW(global_msg::make(0, max_id + 1, 0, {}), std::invalid_argument);
+  EXPECT_THROW(global_msg::make(0, 0, 0x10000, {}), std::invalid_argument);
+  EXPECT_THROW(global_msg::make(0, 0, 0, {1, 2, 3, 4}), std::invalid_argument);
+}
+
 TEST(HybridNet, PhasesPartitionRounds) {
   const graph g = gen::path(4);
   hybrid_net net(g, default_cfg(), 1);
