@@ -127,9 +127,9 @@ apsp_result hybrid_apsp_exact(const graph& g, const model_config& cfg,
   }
   // The full h-hop exploration runs on the local network in parallel with
   // everything above (LOCAL bandwidth is unbounded): charge traffic only.
-  // run_local_exploration picks the dense or ball-bounded sparse path per
-  // sim_options (proto/sparse_exploration.hpp) — triples and charging are
-  // bit-identical either way.
+  // run_local_exploration picks dense rows or ball-bounded sparse maps by n
+  // (proto/sparse_exploration.hpp) — triples and charging are bit-identical
+  // either way.
   out.labels.ball = run_local_exploration(
       net, sk.h, /*advance_rounds=*/false, nullptr, /*first_hops=*/false);
 

@@ -19,9 +19,8 @@
 // Equivalence contract (differentially tested in tests/dist_oracle_test.cpp,
 // `ctest -L oracle`, gated in CI): for every pair, query()/next_hop()/row()
 // and the materialize() adapters are bit-identical to the dense matrices the
-// pre-oracle assembly produced, at every thread count and on either
-// exploration path — the composition below is the dense loop, evaluated
-// lazily.
+// pre-oracle assembly produced, at every thread count — the composition
+// below is the dense loop, evaluated lazily.
 #pragma once
 
 #include <span>

@@ -1,11 +1,10 @@
-// The LOCAL primitives as thin adapters over the two loops of
-// proto/local_engine.hpp. On a reliable local plane each primitive seeds a
-// store and runs the relaxation loop on the round executor
-// (docs/CONCURRENCY.md): hop_discovery, table_flood and
-// truncated_eccentricity over the seen-bitset store, limited_bellman_ford
-// and full_local_exploration over dense rows. Pull order is sorted
-// adjacency order, so results, tie-breaks and charged traffic are
-// thread-count-invariant.
+// The LOCAL primitives as thin adapters over proto/local_engine.hpp. The
+// hop and table floods share one seen-bitset flood (seen_flood), the
+// hello flood runs the relaxation loop over the seen-bitset store too, and
+// limited_bellman_ford and full_local_exploration re-key and reshape the
+// one h-hop exploration entry (run_local_exploration). Pull order is
+// sorted adjacency order, so results, tie-breaks and charged traffic are
+// thread-count-invariant (docs/CONCURRENCY.md).
 //
 // Fault healing (docs/FAULTS.md §3): under local-plane faults each
 // primitive runs its relaxation loop free for the reliable answer, returns
@@ -17,11 +16,9 @@
 // stability into fault_failure, never a silently incomplete return. The
 // held sets are Pareto-minimal (dist, hops) pairs per key, and only pairs
 // with hops < T are offered, so the hop and table floods heal their T-ball
-// (hop = dist under unit weights) and Bellman–Ford its d_h. The
-// exploration-shaped primitives (full_local_exploration,
-// truncated_eccentricity) heal through healed_local_exploration
-// (proto/sparse_exploration.cpp). All return results bit-identical to the
-// fault-free run.
+// (hop = dist under unit weights) and the explorations their d_h. The
+// hello flood heals through the exploration body with unit weights. All
+// return results bit-identical to the fault-free run.
 #include "proto/flood.hpp"
 
 #include "proto/local_engine.hpp"
@@ -32,28 +29,32 @@ using namespace local_engine;
 
 namespace {
 
-/// The healed hop and table floods. The fault-free flood, run free, is the
-/// answer: per node the (item, hop) pairs within `spec.rounds` hops, in
-/// learn order. The re-offer loop then pays for the healing and referees
-/// its T-ball against that answer, keyed by item index. Item i starts at
-/// node roots[i] and costs words[i] local items per offer (one when `words`
-/// is null).
-std::vector<std::vector<discovered_seed>> healed_flood(
+/// The seen-store flood behind hop_discovery and table_flood: item i starts
+/// at node roots[i]; per node the (item, hop) pairs within `spec.rounds`
+/// hops, in learn order. On a reliable local plane the flood is charged,
+/// item i costing words[i] local items per edge crossing (one when `words`
+/// is null). On a faulty one it runs free for that answer, and the
+/// re-offer loop pays for the healing and referees its T-ball against it,
+/// keyed by item index.
+std::vector<std::vector<discovered_seed>> seen_flood(
     hybrid_net& net, const std::vector<u32>& roots,
     const std::vector<u64>* words, const heal_spec& spec) {
   const u32 n = net.n();
   round_executor& exec = net.executor();
   const u32 items = static_cast<u32>(roots.size());
+  const bool healing = net.local_faults_active();
   std::vector<std::vector<discovered_seed>> known(n);
   {
     std::vector<std::vector<u32>> frontier(n);
-    seen_store store(n, items, nullptr, [&](u32 v, u32 i, u32 r) {
+    seen_store store(n, items, words, [&](u32 v, u32 i, u32 r) {
       known[v].push_back({i, r});
     });
     for (u32 i = 0; i < items; ++i) store.seed(roots[i], i, frontier[roots[i]]);
     relax(store, frontier, spec.rounds, graph_edges{net.g()},
-          round_policy::free(exec));
+          healing ? round_policy::free(exec)
+                  : round_policy::charged(net, true, spec.aggregate_exit));
   }
+  if (!healing) return known;
   sparse_exploration_result ref;
   ref.offsets.assign(n + 1, 0);
   for (u32 v = 0; v < n; ++v)
@@ -79,62 +80,29 @@ std::vector<std::vector<discovered_seed>> healed_flood(
 std::vector<std::vector<discovered_seed>> hop_discovery(
     hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
     bool early_exit) {
-  const u32 n = net.n();
-  for (const u32 s : seeds) HYB_REQUIRE(s < n, "seed out of range");
-  if (net.local_faults_active()) {
-    return healed_flood(net, seeds, nullptr,
-                        {"hop_discovery", rounds, rounds, rounds, early_exit});
-  }
-  std::vector<std::vector<discovered_seed>> known(n);
-  std::vector<std::vector<u32>> frontier(n);
-  seen_store store(n, static_cast<u32>(seeds.size()), nullptr,
-                   [&](u32 v, u32 i, u32 r) { known[v].push_back({i, r}); });
-  for (u32 i = 0; i < seeds.size(); ++i)
-    store.seed(seeds[i], i, frontier[seeds[i]]);
-  relax(store, frontier, rounds, graph_edges{net.g()},
-        round_policy::charged(net, true, early_exit));
-  return known;
+  for (const u32 s : seeds) HYB_REQUIRE(s < net.n(), "seed out of range");
+  return seen_flood(net, seeds, nullptr,
+                    {"hop_discovery", rounds, rounds, rounds, early_exit});
 }
 
 std::vector<std::vector<source_distance>> limited_bellman_ford(
     hybrid_net& net, const std::vector<u32>& sources, u32 h,
     bool advance_rounds) {
   const u32 n = net.n();
-  const u32 s_count = static_cast<u32>(sources.size());
-  for (const u32 s : sources) HYB_REQUIRE(s < n, "source out of range");
+  const sparse_exploration_result got =
+      run_local_exploration(net, h, advance_rounds, &sources, true);
+  // Re-key the node-id triples to indices into `sources`, in index order.
+  std::vector<u32> index_of(n, ~u32{0});
+  for (u32 i = 0; i < sources.size(); ++i) index_of[sources[i]] = i;
   std::vector<std::vector<source_distance>> out(n);
-  if (net.local_faults_active()) {
-    // Keys are source indices. The referee is the reliable relaxation run
-    // free, and its result is what gets returned: healed vias depend on
-    // which copy survived the drop pattern, while callers are promised
-    // labels bit-identical to the fault-free run. With a frozen round
-    // counter the fault stream would re-roll the same draws every
-    // iteration, so the healed path always advances; because the caller
-    // asked for a frozen counter its nominal budget is 0 and every round
-    // consumed surfaces as extra_rounds (docs/FAULTS.md §3).
-    std::vector<root> roots(s_count);
-    for (u32 i = 0; i < s_count; ++i) roots[i] = {sources[i], i};
-    const sparse_exploration_result ref =
-        explore_sparse(n, h, roots, graph_edges{net.g()},
-                       round_policy::free(net.executor()), true);
-    pareto_held held(ref, h, roots, false);
-    reoffer(net, held,
-            {"limited_bellman_ford", h, h, advance_rounds ? h : 0});
-    for (u32 v = 0; v < n; ++v)
-      for (const exploration_entry& e : ref.reached(v))
-        out[v].push_back({e.source, e.dist, e.first_hop});
-    return out;
-  }
-  dense_store store(n, s_count, true);
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 i = 0; i < s_count; ++i)
-    store.seed(sources[i], i, frontier[sources[i]]);
-  relax(store, frontier, h, graph_edges{net.g()},
-        round_policy::charged(net, advance_rounds));
-  for (u32 v = 0; v < n; ++v)
-    for (u32 i = 0; i < s_count; ++i)
-      if (store.dist[v][i] != kInfDist)
-        out[v].push_back({i, store.dist[v][i], store.via[v][i]});
+  net.executor().for_nodes(n, [&](u32 v) {
+    for (const exploration_entry& e : got.reached(v))
+      out[v].push_back({index_of[e.source], e.dist, e.first_hop});
+    std::sort(out[v].begin(), out[v].end(),
+              [](const source_distance& a, const source_distance& b) {
+                return a.source < b.source;
+              });
+  });
   return out;
 }
 
@@ -142,27 +110,16 @@ std::vector<std::vector<u64>> full_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     std::vector<std::vector<u32>>* first_hop) {
   const u32 n = net.n();
-  if (net.local_faults_active()) {
-    // Heal through the exploration engine and expand its canonical CSR
-    // triples back into the dense matrix shape this primitive promises.
-    const sparse_exploration_result got = healed_local_exploration(
-        net, h, advance_rounds, nullptr, first_hop != nullptr);
-    std::vector<std::vector<u64>> dist(n, std::vector<u64>(n, kInfDist));
-    if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
-    for (u32 v = 0; v < n; ++v)
-      for (const exploration_entry& e : got.reached(v)) {
-        dist[v][e.source] = e.dist;
-        if (first_hop) (*first_hop)[v][e.source] = e.first_hop;
-      }
-    return dist;
-  }
-  dense_store store(n, n, first_hop != nullptr);
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 v = 0; v < n; ++v) store.seed(v, v, frontier[v]);
-  relax(store, frontier, h, graph_edges{net.g()},
-        round_policy::charged(net, advance_rounds));
-  if (first_hop) *first_hop = std::move(store.via);
-  return std::move(store.dist);
+  const sparse_exploration_result got = run_local_exploration(
+      net, h, advance_rounds, nullptr, first_hop != nullptr);
+  std::vector<std::vector<u64>> dist(n, std::vector<u64>(n, kInfDist));
+  if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
+  for (u32 v = 0; v < n; ++v)
+    for (const exploration_entry& e : got.reached(v)) {
+      dist[v][e.source] = e.dist;
+      if (first_hop) (*first_hop)[v][e.source] = e.first_hop;
+    }
+  return dist;
 }
 
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,
@@ -173,23 +130,13 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
               "each publisher needs a table size");
   const u32 n = net.n();
   for (const u32 p : publishers) HYB_REQUIRE(p < n, "publisher out of range");
+  const std::vector<std::vector<discovered_seed>> known = seen_flood(
+      net, publishers, &table_words, {"table_flood", rounds, rounds, rounds});
   std::vector<std::vector<u32>> holds(n);
-  if (net.local_faults_active()) {
-    const std::vector<std::vector<discovered_seed>> known = healed_flood(
-        net, publishers, &table_words, {"table_flood", rounds, rounds, rounds});
-    for (u32 v = 0; v < n; ++v) {
-      holds[v].reserve(known[v].size());
-      for (const discovered_seed& d : known[v]) holds[v].push_back(d.seed);
-    }
-    return holds;
+  for (u32 v = 0; v < n; ++v) {
+    holds[v].reserve(known[v].size());
+    for (const discovered_seed& d : known[v]) holds[v].push_back(d.seed);
   }
-  std::vector<std::vector<u32>> frontier(n);
-  seen_store store(n, static_cast<u32>(publishers.size()), &table_words,
-                   [&](u32 v, u32 i, u32) { holds[v].push_back(i); });
-  for (u32 i = 0; i < publishers.size(); ++i)
-    store.seed(publishers[i], i, frontier[publishers[i]]);
-  relax(store, frontier, rounds, graph_edges{net.g()},
-        round_policy::charged(net));
   return holds;
 }
 
@@ -199,8 +146,8 @@ std::vector<u32> truncated_eccentricity(hybrid_net& net, u32 rounds) {
   if (net.local_faults_active()) {
     // Hello floods carry hop counts, so heal with unit weights and read
     // each node's truncated eccentricity off its refereed reached set.
-    const sparse_exploration_result got = healed_local_exploration(
-        net, rounds, true, nullptr, false, true);
+    const sparse_exploration_result got =
+        explore_ball(net, rounds, true, nullptr, false, true);
     for (u32 v = 0; v < n; ++v)
       for (const exploration_entry& e : got.reached(v))
         ecc[v] = std::max(ecc[v], static_cast<u32>(e.dist));

@@ -72,8 +72,9 @@ struct source_distance {
                          const source_distance&) = default;
 };
 
-/// (2) h rounds of synchronous Bellman–Ford from `sources`.
-/// Returns per node the h-hop-limited distances to every source it reached.
+/// (2) h rounds of synchronous Bellman–Ford from the distinct `sources`.
+/// Returns per node the h-hop-limited distances to every source it reached,
+/// in source-index order: run_local_exploration's triples, re-keyed.
 /// When `advance_rounds` is false the primitive models the paper's "run the
 /// local exploration in parallel with the rest of the algorithm" trick
 /// (Lemma 4.3's final paragraph): traffic is charged but rounds are not.
@@ -86,9 +87,9 @@ std::vector<std::vector<source_distance>> limited_bellman_ford(
     bool advance_rounds = true);
 
 /// (3) Full h-hop-limited APSP: matrix[u][v] = d_h(u, v) (kInfDist when v is
-/// outside u's h-hop horizon). Quadratic memory — callers bound n; for the
-/// neighborhood-bounded O(Σ|ball_h(v)|) variant the cores use, see
-/// proto/sparse_exploration.hpp (bit-identical triples and charging).
+/// outside u's h-hop horizon). Quadratic memory — callers bound n; it is
+/// run_local_exploration's triples (proto/sparse_exploration.hpp, what the
+/// cores use) expanded into the matrix, with the same charging.
 /// When `first_hop` is non-null it receives an n×n matrix with each node's
 /// first hop on a d_h-realizing path to the target (self on the diagonal,
 /// ~0u when unreachable).
@@ -110,8 +111,8 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
 /// returns per node the largest hop at which it heard a new ID, i.e.
 /// h_v = max_{u in N_rounds(v)} hop(v, u) truncated at `rounds`
 /// (Algorithm 9's h_v). Under local-plane faults the flood self-heals
-/// through the healed exploration engine (proto/sparse_exploration.hpp) and
-/// returns the identical h_v vector.
+/// through the h-hop exploration body with unit weights and returns the
+/// identical h_v vector.
 std::vector<u32> truncated_eccentricity(hybrid_net& net, u32 rounds);
 
 }  // namespace hybrid

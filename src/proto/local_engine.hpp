@@ -31,6 +31,11 @@
 //    the reliable fixed point. Its one held-set policy — per node a flat
 //    Pareto vector offered in key order — fixes every fault draw.
 //
+// Every weighted h-hop exploration (run_local_exploration and the
+// Bellman–Ford and full-exploration adapters over it) enters through one
+// body, explore_ball(), which picks the store from n alone and the loop
+// from the local plane.
+//
 // Both loops follow the executor's determinism contract
 // (docs/CONCURRENCY.md): a node's step reads other nodes' round-frozen
 // state and writes only its own rows.
@@ -50,7 +55,7 @@
 namespace hybrid::local_engine {
 
 /// One exploration root: `key` starts at distance 0 at `node`. Keys are
-/// node ids for the explorations and source indices for Bellman–Ford.
+/// node ids for the explorations and item indices for the floods.
 struct root {
   u32 node;
   u32 key;
@@ -155,21 +160,38 @@ struct dense_rows {
     if (!via.empty()) via[v][key] = from;
     return true;
   }
+  u64 reached(u32 v) const {
+    return dist[v].size() -
+           static_cast<u64>(std::count(dist[v].begin(), dist[v].end(),
+                                       kInfDist));
+  }
+  /// f(key, dist, via) per reached key, in key order (via ~0 untracked).
+  template <class F>
+  void each(u32 v, F&& f) const {
+    for (u32 k = 0; k < dist[v].size(); ++k)
+      if (dist[v][k] != kInfDist)
+        f(k, dist[v][k], via.empty() ? ~u32{0} : via[v][k]);
+  }
 };
 
 /// Sparse rows: one sparse_dist_map per node, O(Σ|ball_h(v)|) memory.
+/// Vias are always tracked; the width is unbounded.
 struct sparse_rows {
   std::vector<sparse_dist_map> dist;
 
-  explicit sparse_rows(u32 n) : dist(n) {}
+  sparse_rows(u32 n, u32, bool) : dist(n) {}
   u64 dist_of(u32 v, u32 key) const { return dist[v].dist_of(key); }
   bool relax(u32 v, u32 key, u64 nd, u32 from) {
     return dist[v].relax(key, nd, from);
   }
+  u64 reached(u32 v) const { return dist[v].size(); }
+  /// f(key, dist, via) per reached key, in discovery order.
+  template <class F>
+  void each(u32 v, F&& f) const {
+    for (const exploration_entry& e : dist[v].entries())
+      f(e.source, e.dist, e.first_hop);
+  }
 };
-
-using dense_store = weighted_store<dense_rows>;
-using sparse_store = weighted_store<sparse_rows>;
 
 /// One bit per (node, item), rows contiguous.
 class seen_bits {
@@ -269,25 +291,41 @@ void relax(Store& store,
   }
 }
 
-/// Per-node maps flattened into the CSR arena, each node's triples sorted
-/// by key (canonical, thread-count-invariant); without `first_hops` every
-/// first_hop is ~0.
-sparse_exploration_result flatten(round_executor& exec,
-                                  const std::vector<sparse_dist_map>& dist,
-                                  bool first_hops);
-
-/// relax() over the sparse store from `roots`, flattened.
-template <class Neighbors>
-sparse_exploration_result explore_sparse(u32 n, u32 h,
-                                         const std::vector<root>& roots,
-                                         const Neighbors& nbrs,
-                                         const round_policy& policy,
-                                         bool first_hops) {
-  sparse_store store(n);
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (const root& r : roots) store.seed(r.node, r.key, frontier[r.node]);
-  relax(store, frontier, h, nbrs, policy);
-  return flatten(policy.exec, store.dist, first_hops);
+/// relax() over `Rows` from `roots`, flattened straight into the CSR
+/// arena: root i is key i of the store (so dense rows are roots.size()
+/// wide) and comes out as source roots[i].key. Each node's triples are
+/// sorted by source (canonical, thread-count-invariant); without
+/// `first_hops` dense rows track no vias and every first_hop is ~0.
+template <class Rows, class Neighbors>
+sparse_exploration_result explore(u32 n, u32 h, const std::vector<root>& roots,
+                                  const Neighbors& nbrs,
+                                  const round_policy& policy, bool first_hops) {
+  weighted_store<Rows> store(n, static_cast<u32>(roots.size()), first_hops);
+  {
+    std::vector<std::vector<source_distance>> frontier(n);
+    for (u32 i = 0; i < roots.size(); ++i)
+      store.seed(roots[i].node, i, frontier[roots[i].node]);
+    relax(store, frontier, h, nbrs, policy);
+  }
+  sparse_exploration_result out;
+  out.offsets.assign(n + 1, 0);
+  policy.exec.for_nodes(n,
+                        [&](u32 v) { out.offsets[v + 1] = store.reached(v); });
+  for (u32 v = 0; v < n; ++v) out.offsets[v + 1] += out.offsets[v];
+  out.entries.resize(out.offsets[n]);
+  policy.exec.for_nodes(n, [&](u32 v) {
+    exploration_entry* const begin = out.entries.data() + out.offsets[v];
+    exploration_entry* at = begin;
+    store.each(v, [&](u32 key, u64 dist, u32 via) {
+      *at++ = {dist, roots[key].key, first_hops ? via : ~u32{0}};
+    });
+    const auto by_source = [](const exploration_entry& a,
+                              const exploration_entry& b) {
+      return a.source < b.source;
+    };
+    if (!std::is_sorted(begin, at, by_source)) std::sort(begin, at, by_source);
+  });
+  return out;
 }
 
 // ---- re-offer loop ---------------------------------------------------------
@@ -542,5 +580,23 @@ inline void reoffer(hybrid_net& net, pareto_held& held,
   }
   if (spent > spec.nominal) net.note_extra_rounds(spent - spec.nominal);
 }
+
+// ---- the h-hop exploration ---------------------------------------------------
+
+/// The one body behind run_local_exploration (same `sources` contract):
+/// `h` hops of explore() over dense rows when n ≤ kDenseExplorationMaxNodes
+/// and over sparse_dist_maps beyond (the same triples and charges; the
+/// dense rows are faster while they fit). On a reliable local plane relax()
+/// runs charged (rounds frozen unless `advance_rounds`). On a faulty one it
+/// runs free, and reoffer() heals toward that answer, up to four attempts,
+/// and referees it (docs/FAULTS.md §3): the returned triples are the
+/// fault-free ones, vias included. Healing needs real rounds, so they
+/// advance anyway and the nominal budget is h when advancing, 0 when not;
+/// every round beyond it is extra_rounds. With `unit_weights` every edge
+/// counts 1 (truncated_eccentricity's hello flood).
+sparse_exploration_result explore_ball(hybrid_net& net, u32 h,
+                                       bool advance_rounds,
+                                       const std::vector<u32>* sources,
+                                       bool first_hops, bool unit_weights);
 
 }  // namespace hybrid::local_engine

@@ -37,7 +37,8 @@ struct skeleton_result {
 };
 
 /// Algorithm 6. `forced` nodes (e.g. the SSSP source, Lemma 4.5) are always
-/// included. Rounds consumed: h.
+/// included. Rounds consumed: h (under local-plane faults the healing
+/// rounds beyond h surface as extra_rounds).
 skeleton_result compute_skeleton(hybrid_net& net, double sample_prob,
                                  const std::vector<u32>& forced = {});
 

@@ -1,23 +1,28 @@
-// Neighborhood-bounded local exploration (the sparse counterpart of
-// proto/flood.hpp's full_local_exploration / limited_bellman_ford).
+// The h-hop local exploration: one entry point, run_local_exploration,
+// behind the paper's APSP/k-SSP local phase and the skeleton's h-hop
+// Bellman–Ford (proto/flood.hpp's limited_bellman_ford and
+// full_local_exploration reshape its triples).
 //
 // The paper's APSP/k-SSP algorithms spend their local phase on h-hop
-// exploration. The dense primitives keep an n-wide distance vector per node
-// — O(n²) memory by design — which dies long before n ≈ 10⁵ on sparse
-// graphs even though each node only ever hears from its h-ball. This module
-// stores exactly what a node learns: per node v an open-addressed flat map
-// from source id to (dist, first_hop), so total memory is O(Σᵥ|ball_h(v)|)
-// instead of O(n²). The sparse regime is where HYBRID shines (Feldmann et
-// al. 2020, PAPERS.md), and the trick is sound because Kuhn & Schneider's
-// "run local exploration in parallel" step only ever needs the h-ball.
+// exploration. n-wide distance rows per node cost O(n²) memory, which dies
+// long before n ≈ 10⁵ on sparse graphs even though each node only ever
+// hears from its h-ball. So beyond kDenseExplorationMaxNodes nodes the
+// entry stores exactly what a node learns: per node v an open-addressed
+// flat map from source id to (dist, first_hop), O(Σᵥ|ball_h(v)|) memory.
+// The sparse regime is where HYBRID shines (Feldmann et al. 2020,
+// PAPERS.md), and the trick is sound because Kuhn & Schneider's "run local
+// exploration in parallel" step only ever needs the h-ball. At or below
+// the cutoff the dense rows stay: forcing the maps on n = 1024 APSP made
+// the exploration 2.2× slower (docs/ARCHITECTURE.md §6.2).
 //
-// Equivalence contract (differentially tested in
+// Equivalence contract (store-level differential in
 // tests/sparse_exploration_test.cpp, gated in CI):
-//   * the sparse path produces the same (source, dist, first_hop) triples
-//     as the dense path, bit for bit, at every thread count;
-//   * it charges the same local traffic and advances the same rounds —
-//     both paths run the one relaxation loop of proto/local_engine.hpp,
-//     only the per-node store differs (sparse_dist_map vs dense rows);
+//   * dense rows and sparse maps produce the same (source, dist, first_hop)
+//     triples, bit for bit, at every thread count — both run the one
+//     relaxation loop of proto/local_engine.hpp and flatten straight into
+//     the same CSR, only the per-node store differs;
+//   * they charge the same local traffic and advance the same rounds, so
+//     the n-based store pick never changes a counter;
 //   * tie-breaks are identical: the first neighbor in sorted adjacency
 //     order that strictly improves a source's distance becomes the first
 //     hop (docs/CONCURRENCY.md §3).
@@ -89,34 +94,25 @@ struct sparse_exploration_result {
                          const sparse_exploration_result&) = default;
 };
 
-/// h rounds of exploration from `sources` (nullptr = every node explores,
-/// the full_local_exploration workload; otherwise the limited_bellman_ford
-/// workload — sources must be distinct). Per-node distance state lives in
-/// sparse_dist_maps, so memory is bounded by the h-ball sizes. Round and
-/// traffic accounting matches the dense primitives exactly; with
+/// h rounds of exploration from `sources` (nullptr = every node explores;
+/// otherwise sources must be distinct). Per-node distance state lives in
+/// dense rows up to kDenseExplorationMaxNodes nodes and in
+/// sparse_dist_maps beyond, so memory is bounded by the h-ball sizes where
+/// n² would not fit; the triples and charges are the same either way. With
 /// `advance_rounds` false only traffic is charged (the paper's
 /// run-in-parallel trick, Lemma 4.3). With `first_hops` false every
 /// entry's first_hop is ~0 — callers that only consume (source, dist)
-/// spare the dense reference path its n² first-hop matrix, and the
-/// cross-path bit-identity contract holds in either mode.
-sparse_exploration_result sparse_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    const std::vector<u32>* sources = nullptr, bool first_hops = true);
-
-/// The dense reference path behind the same interface: runs
-/// full_local_exploration (or limited_bellman_ford for a source subset)
-/// and flattens the n-wide rows into the sparse triple format. O(n²)
-/// memory — callers bound n; kept for small instances and for
-/// differentially testing the sparse path.
-sparse_exploration_result dense_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    const std::vector<u32>* sources = nullptr, bool first_hops = true);
-
-/// What the cores call: dispatches on resolve_exploration(net.options(),
-/// net.n()). Both paths return identical triples and charge identical
-/// rounds/messages, so the choice is a memory/speed trade only. Under
-/// local-plane faults every entry point routes to healed_local_exploration
-/// below, so the choice of path never changes fault behavior either.
+/// spare the dense rows their vias.
+///
+/// Under local-plane faults the exploration self-heals (docs/FAULTS.md §3):
+/// the reliable relaxation runs free and is what gets returned, and a
+/// re-offer loop of per-node Pareto-minimal (dist, hops) sets pays for the
+/// healing, referees the converged state against it and retries up to four
+/// times with fresh fault draws before throwing fault_failure. The result
+/// is bit-identical to the fault-free run, vias and all. Healing needs real
+/// rounds, so with `advance_rounds` false they advance anyway and every one
+/// is surfaced through note_extra_rounds (the nominal budget is h when
+/// advancing, 0 when not).
 sparse_exploration_result run_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
@@ -135,34 +131,5 @@ sparse_exploration_result run_local_exploration(
 sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex);
-
-/// Self-healing h-hop exploration for a faulty local plane (docs/FAULTS.md
-/// §3) — the engine behind every exploration entry point (sparse, dense,
-/// full_local_exploration, truncated_eccentricity) once
-/// hybrid_net::local_faults_active(). It is the re-offer loop of
-/// proto/local_engine.hpp with Pareto sets in key order, under the
-/// same correct-or-explicitly-failed contract as the healed floods: per
-/// node it keeps Pareto-minimal (dist, hops) sets per source with
-/// per-entry epoch stamps, re-offers every extendable entry each round
-/// (stamped re-offers count as retransmitted) until a crash-aware quiet
-/// window, then validates the converged state against the reliable
-/// relaxation loop's ball-triple fixed point Σ|ball_h(v)| (run without a
-/// network) and throws fault_failure on premature stability —
-/// retrying up to four times with fresh fault draws (the round counter
-/// moved) before giving up. On success it returns the referee's canonical
-/// triples, so the result is bit-identical to the fault-free run, vias and
-/// all.
-///
-/// Healing needs real rounds (a frozen round counter re-rolls the same
-/// drops forever), so with `advance_rounds` false the paper's
-/// run-in-parallel trick is unavailable: rounds advance anyway and every
-/// one of them is surfaced through note_extra_rounds (the nominal budget is
-/// h when advancing, 0 when not). With `unit_weights` every edge counts 1
-/// (the truncated_eccentricity workload, which floods hop counts, not
-/// weighted distances).
-sparse_exploration_result healed_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    const std::vector<u32>* sources = nullptr, bool first_hops = true,
-    bool unit_weights = false);
 
 }  // namespace hybrid

@@ -107,7 +107,7 @@ class hybrid_net {
   u32 n() const { return g_->num_nodes(); }
   const model_config& config() const { return cfg_; }
   /// The sim_options this net was constructed with (thread count as given,
-  /// exploration path unresolved — see resolve_exploration).
+  /// storage mode unresolved — see resolve_materialize).
   const sim_options& options() const { return opts_; }
 
   /// Node-parallel round executor (docs/CONCURRENCY.md). Protocol drivers

@@ -2,7 +2,7 @@
 // on randomized ER / grid / star / bounded-degree / disconnected graphs,
 // query(u, v) and next_hop(u, v) must be bit-identical to the materialized
 // dense matrices and to centralized Dijkstra ground truth, at threads
-// ∈ {1, 2, 8} and on both exploration paths; plus the h = 0 /
+// ∈ {1, 2, 8}; plus the h = 0 /
 // isolated-vertex / singleton-component / unreachable-pair (∞) edge cases,
 // the baseline's two-sided labels, the k-SSP labels, and the diameter
 // label path (exact + the (1+ε̂) skeleton estimate). Runs in the TSAN CI
@@ -25,10 +25,9 @@ namespace {
 
 model_config cfg() { return model_config{}; }
 
-sim_options opts(u32 threads, exploration_path explo, result_storage storage) {
+sim_options opts(u32 threads, result_storage storage) {
   sim_options o;
   o.threads = threads;
-  o.exploration = explo;
   o.storage = storage;
   return o;
 }
@@ -41,40 +40,38 @@ void expect_metrics_eq(const run_metrics& a, const run_metrics& b) {
   EXPECT_EQ(a.max_global_recv_per_round, b.max_global_recv_per_round);
 }
 
-/// Dense reference at one thread vs label-only runs at threads {1, 2, 8} on
-/// both exploration paths: per-pair query/next_hop identity, materialize()
-/// identity, metric identity, and Dijkstra ground truth.
+/// Dense reference at one thread vs label-only runs at threads {1, 2, 8}:
+/// per-pair query/next_hop identity, materialize() identity, metric
+/// identity, and Dijkstra ground truth.
 void apsp_differential(const graph& g, u64 seed) {
   const u32 n = g.num_nodes();
   const apsp_result ref = hybrid_apsp_exact(
       g, cfg(), seed, /*build_routes=*/true,
-      opts(1, exploration_path::kDense, result_storage::kDense));
+      opts(1, result_storage::kDense));
   ASSERT_EQ(ref.dist.size(), n);
   const auto truth = apsp_reference(g);
   for (u32 u = 0; u < n; ++u) ASSERT_EQ(ref.dist[u], truth[u]) << "row " << u;
 
-  for (u32 threads : {1u, 2u, 8u})
-    for (exploration_path explo :
-         {exploration_path::kDense, exploration_path::kSparse}) {
-      const apsp_result lab = hybrid_apsp_exact(
-          g, cfg(), seed, /*build_routes=*/true,
-          opts(threads, explo, result_storage::kLabels));
-      ASSERT_TRUE(!lab.materialized());
-      ASSERT_TRUE(lab.labels.routes);
-      expect_metrics_eq(lab.metrics, ref.metrics);
-      for (u32 u = 0; u < n; ++u)
-        for (u32 v = 0; v < n; ++v) {
-          ASSERT_EQ(lab.labels.query(u, v), ref.dist[u][v])
-              << u << "->" << v << " threads=" << threads;
-          ASSERT_EQ(lab.labels.next_hop(u, v), ref.next_hop[u][v])
-              << u << "->" << v << " threads=" << threads;
-        }
-      // The dense adapters reproduce the matrices bit for bit.
-      round_executor ex(opts(threads, explo, result_storage::kLabels));
-      const auto dist = lab.labels.materialize(ex);
-      ASSERT_EQ(dist, ref.dist);
-      ASSERT_EQ(lab.labels.materialize_next_hops(dist, ex), ref.next_hop);
-    }
+  for (u32 threads : {1u, 2u, 8u}) {
+    const apsp_result lab = hybrid_apsp_exact(
+        g, cfg(), seed, /*build_routes=*/true,
+        opts(threads, result_storage::kLabels));
+    ASSERT_TRUE(!lab.materialized());
+    ASSERT_TRUE(lab.labels.routes);
+    expect_metrics_eq(lab.metrics, ref.metrics);
+    for (u32 u = 0; u < n; ++u)
+      for (u32 v = 0; v < n; ++v) {
+        ASSERT_EQ(lab.labels.query(u, v), ref.dist[u][v])
+            << u << "->" << v << " threads=" << threads;
+        ASSERT_EQ(lab.labels.next_hop(u, v), ref.next_hop[u][v])
+            << u << "->" << v << " threads=" << threads;
+      }
+    // The dense adapters reproduce the matrices bit for bit.
+    round_executor ex(opts(threads, result_storage::kLabels));
+    const auto dist = lab.labels.materialize(ex);
+    ASSERT_EQ(dist, ref.dist);
+    ASSERT_EQ(lab.labels.materialize_next_hops(dist, ex), ref.next_hop);
+  }
 }
 
 // ---- randomized differential runs ------------------------------------------
@@ -110,7 +107,7 @@ TEST(DistOracleDiff, DisconnectedWithIsolatedVertices) {
   const graph g = graph::from_edges(9, edges);
   apsp_differential(g, 3);
   const apsp_result lab = hybrid_apsp_exact(
-      g, cfg(), 3, true, opts(1, exploration_path::kSparse, result_storage::kLabels));
+      g, cfg(), 3, true, opts(1, result_storage::kLabels));
   for (u32 v : {7u, 8u}) {
     EXPECT_EQ(lab.labels.query(v, v), 0u);       // singleton component
     EXPECT_EQ(lab.labels.next_hop(v, v), v);
@@ -158,7 +155,7 @@ TEST(DistOracleEdge, NextHopRequiresRoutes) {
   const graph g = gen::path(32, 3, 5);
   const apsp_result lab = hybrid_apsp_exact(
       g, cfg(), 5, /*build_routes=*/false,
-      opts(1, exploration_path::kAuto, result_storage::kLabels));
+      opts(1, result_storage::kLabels));
   EXPECT_FALSE(lab.labels.routes);
   EXPECT_EQ(lab.labels.query(0, 31), dijkstra(g, 0)[31]);
   EXPECT_THROW(lab.labels.next_hop(0, 31), std::invalid_argument);
@@ -171,7 +168,7 @@ TEST(DistOracleEdge, StorageResolution) {
   const apsp_result dense = hybrid_apsp_exact(g, cfg(), 9);
   ASSERT_TRUE(dense.materialized());
   const apsp_result label_only = hybrid_apsp_exact(
-      g, cfg(), 9, false, opts(0, exploration_path::kAuto, result_storage::kLabels));
+      g, cfg(), 9, false, opts(0, result_storage::kLabels));
   EXPECT_FALSE(label_only.materialized());
   EXPECT_TRUE(label_only.dist.empty() && label_only.next_hop.empty());
   for (u32 u = 0; u < 64; ++u)
@@ -192,7 +189,7 @@ TEST(DistOracleMaterialize, DisconnectedInfinityRowsScheme) {
   const graph g = graph::from_edges(8, edges);  // + isolated 6, 7
   const apsp_result lab = hybrid_apsp_exact(
       g, cfg(), 13, /*build_routes=*/true,
-      opts(1, exploration_path::kAuto, result_storage::kLabels));
+      opts(1, result_storage::kLabels));
   round_executor ex;
   const auto dist = lab.labels.materialize(ex);
   const auto hops = lab.labels.materialize_next_hops(dist, ex);
@@ -218,7 +215,7 @@ TEST(DistOracleMaterialize, DisconnectedInfinityPairsScheme) {
   std::vector<edge_spec> edges{{0, 1, 1}, {1, 2, 3}, {3, 4, 2}};
   const graph g = graph::from_edges(7, edges);  // + isolated 5, 6
   const apsp_baseline_result lab = baseline_apsp_ahkss(
-      g, cfg(), 17, opts(1, exploration_path::kSparse, result_storage::kLabels));
+      g, cfg(), 17, opts(1, result_storage::kLabels));
   ASSERT_EQ(lab.labels.scheme, label_scheme::kSkeletonPairs);
   round_executor ex;
   const auto dist = lab.labels.materialize(ex);
@@ -239,19 +236,19 @@ TEST(DistOracleMaterialize, DisconnectedInfinityPairsScheme) {
 TEST(DistOracleBaseline, QueryMatchesDenseAndDijkstra) {
   const graph g = gen::erdos_renyi_connected(96, 4.5, 7, 31);
   const apsp_baseline_result ref = baseline_apsp_ahkss(
-      g, cfg(), 31, opts(1, exploration_path::kDense, result_storage::kDense));
+      g, cfg(), 31, opts(1, result_storage::kDense));
   const auto truth = apsp_reference(g);
   for (u32 u = 0; u < 96; ++u) ASSERT_EQ(ref.dist[u], truth[u]);
   for (u32 threads : {1u, 8u}) {
     const apsp_baseline_result lab = baseline_apsp_ahkss(
-        g, cfg(), 31, opts(threads, exploration_path::kSparse, result_storage::kLabels));
+        g, cfg(), 31, opts(threads, result_storage::kLabels));
     EXPECT_FALSE(lab.materialized());
     EXPECT_EQ(lab.labels.scheme, label_scheme::kSkeletonPairs);
     expect_metrics_eq(lab.metrics, ref.metrics);
     for (u32 u = 0; u < 96; ++u)
       for (u32 v = 0; v < 96; ++v)
         ASSERT_EQ(lab.labels.query(u, v), ref.dist[u][v]) << u << "->" << v;
-    round_executor ex(opts(threads, exploration_path::kAuto, result_storage::kAuto));
+    round_executor ex(opts(threads, result_storage::kAuto));
     ASSERT_EQ(lab.labels.materialize(ex), ref.dist);
   }
 }
@@ -260,9 +257,9 @@ TEST(DistOracleBaseline, DisconnectedTwoSided) {
   std::vector<edge_spec> edges{{0, 1, 1}, {1, 2, 2}, {3, 4, 1}};
   const graph g = graph::from_edges(6, edges);
   const apsp_baseline_result ref = baseline_apsp_ahkss(
-      g, cfg(), 5, opts(1, exploration_path::kDense, result_storage::kDense));
+      g, cfg(), 5, opts(1, result_storage::kDense));
   const apsp_baseline_result lab = baseline_apsp_ahkss(
-      g, cfg(), 5, opts(1, exploration_path::kSparse, result_storage::kLabels));
+      g, cfg(), 5, opts(1, result_storage::kLabels));
   const auto truth = apsp_reference(g);
   for (u32 u = 0; u < 6; ++u)
     for (u32 v = 0; v < 6; ++v) {
@@ -279,12 +276,12 @@ TEST(DistOracleKssp, QueryMatchesDenseRows) {
   const std::vector<u32> sources{4, 31, 77};
   const kssp_result ref = hybrid_kssp(
       g, cfg(), 7, sources, alg, false,
-      opts(1, exploration_path::kDense, result_storage::kDense));
+      opts(1, result_storage::kDense));
   ASSERT_TRUE(ref.materialized());
   for (u32 threads : {1u, 8u}) {
     const kssp_result lab = hybrid_kssp(
         g, cfg(), 7, sources, alg, false,
-        opts(threads, exploration_path::kSparse, result_storage::kLabels));
+        opts(threads, result_storage::kLabels));
     EXPECT_FALSE(lab.materialized());
     expect_metrics_eq(lab.metrics, ref.metrics);
     for (u32 j = 0; j < sources.size(); ++j) {
@@ -292,7 +289,7 @@ TEST(DistOracleKssp, QueryMatchesDenseRows) {
       for (u32 v = 0; v < 96; ++v)
         ASSERT_EQ(lab.labels.query(j, v), ref.dist[j][v]);
     }
-    round_executor ex(opts(threads, exploration_path::kAuto, result_storage::kAuto));
+    round_executor ex(opts(threads, result_storage::kAuto));
     ASSERT_EQ(lab.labels.materialize(ex), ref.dist);
   }
 }
@@ -300,9 +297,9 @@ TEST(DistOracleKssp, QueryMatchesDenseRows) {
 TEST(DistOracleKssp, SsspRowIdenticalAcrossStorageModes) {
   const graph g = gen::grid(12, 12, 6, 13);
   const sssp_result dense = hybrid_sssp_exact(
-      g, cfg(), 13, 5, opts(1, exploration_path::kAuto, result_storage::kDense));
+      g, cfg(), 13, 5, opts(1, result_storage::kDense));
   const sssp_result lab = hybrid_sssp_exact(
-      g, cfg(), 13, 5, opts(1, exploration_path::kAuto, result_storage::kLabels));
+      g, cfg(), 13, 5, opts(1, result_storage::kLabels));
   EXPECT_EQ(lab.dist, dense.dist);
   EXPECT_EQ(lab.dist, dijkstra(g, 5));
 }
@@ -318,7 +315,7 @@ TEST(DistOracleCharged, ChargedRoutingPreservesDistances) {
   charged.charged_token_routing = true;
   const apsp_result lab = hybrid_apsp_exact(
       g, charged, 19, false,
-      opts(1, exploration_path::kAuto, result_storage::kLabels));
+      opts(1, result_storage::kLabels));
   const auto truth = apsp_reference(g);
   for (u32 u = 0; u < 96; ++u)
     for (u32 v = 0; v < 96; ++v)
@@ -333,7 +330,7 @@ TEST(DistOracleDiameter, ExactMatchesCentralizedReference) {
     const graph g = gen::erdos_renyi_connected(96, 4.5, 7, seed);
     const apsp_result lab = hybrid_apsp_exact(
         g, cfg(), seed, false,
-        opts(1, exploration_path::kAuto, result_storage::kLabels));
+        opts(1, result_storage::kLabels));
     EXPECT_EQ(labels_exact_diameter(lab.labels), weighted_diameter(g));
   }
   const graph grid = gen::grid(8, 8, 5, 21);
@@ -345,7 +342,7 @@ TEST(DistOracleDiameter, ExactSkipsUnreachablePairsWhenAsked) {
   std::vector<edge_spec> edges{{0, 1, 3}, {1, 2, 4}, {3, 4, 2}};
   const graph g = graph::from_edges(5, edges);
   const apsp_result lab = hybrid_apsp_exact(
-      g, cfg(), 9, false, opts(1, exploration_path::kAuto, result_storage::kLabels));
+      g, cfg(), 9, false, opts(1, result_storage::kLabels));
   EXPECT_THROW(labels_exact_diameter(lab.labels), std::invalid_argument);
   EXPECT_EQ(labels_exact_diameter(lab.labels, /*require_connected=*/false), 7u);
 }
@@ -362,7 +359,7 @@ TEST(DistOracleDiameter, EstimateWithinBoundOn50SeededGraphs) {
     const graph g = gen::erdos_renyi_connected(n, deg, max_w, seed);
     const apsp_result lab = hybrid_apsp_exact(
         g, cfg(), seed, false,
-        opts(1, exploration_path::kAuto, result_storage::kLabels));
+        opts(1, result_storage::kLabels));
     const label_diameter_estimate est = diameter_estimate_from_labels(lab.labels);
     ASSERT_EQ(est.covered, n) << "seed " << seed;
     const u64 d_true = weighted_diameter(g);
@@ -377,7 +374,7 @@ TEST(DistOracleDiameter, EstimateWithinBoundOn50SeededGraphs) {
 // ---- the two-level hierarchy (kTwoLevel) ------------------------------------
 
 sim_options two_level_opts(u32 threads) {
-  sim_options o = opts(threads, exploration_path::kAuto, result_storage::kLabels);
+  sim_options o = opts(threads, result_storage::kLabels);
   o.hierarchy = oracle_hierarchy::kTwoLevel;
   return o;
 }
@@ -428,7 +425,7 @@ TEST(DistOracleTwoLevel, ExactAtSaturatedDefaults) {
         hybrid_apsp_exact(g, cfg(), seed, true, two_level_opts(1));
     const apsp_result one = hybrid_apsp_exact(
         g, cfg(), seed, true,
-        opts(1, exploration_path::kAuto, result_storage::kLabels));
+        opts(1, result_storage::kLabels));
     const auto truth = apsp_reference(g);
     for (u32 u = 0; u < 96; ++u)
       for (u32 v = 0; v < 96; ++v) {

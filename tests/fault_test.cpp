@@ -2,9 +2,9 @@
 // stream's purity and statistics; drop/crash semantics and determinism of
 // both simulators per (seed, fault_seed, threads); the self-healing
 // protocol paths (flood re-offer, Pareto Bellman–Ford, acked aggregation,
-// gossip dissemination, retransmitting token routing, skeleton
-// re-stabilization, and the healed exploration engine behind
-// full/truncated/sparse local exploration) against their fault-free
+// gossip dissemination, retransmitting token routing, and the healed
+// h-hop exploration behind the skeleton (retried attempts included) and
+// full/truncated local exploration) against their fault-free
 // results; the two remaining documented refusals with remediation-naming
 // messages; and the correct-or-explicitly-failed contract of the full
 // APSP/SSSP/diameter pipelines under drops on either plane plus
@@ -848,7 +848,7 @@ TEST(FaultAggregation, DeterministicPerFaultSeedAcrossThreads) {
   EXPECT_GT(std::get<4>(base), 0u);
 }
 
-// ---- skeleton re-stabilization --------------------------------------------
+// ---- skeleton under local faults -------------------------------------------
 
 TEST(FaultSkeleton, ConvergesToFaultFreeSkeletonOnFiftySeeds) {
   const u32 n = 24;
@@ -877,6 +877,29 @@ TEST(FaultSkeleton, SurvivesCrashRecovery) {
   const skeleton_result got = compute_skeleton(net, 0.4);
   EXPECT_EQ(got.nodes, want.nodes);
   EXPECT_EQ(got.edges, want.edges);
+}
+
+TEST(FaultSkeleton, RetriesAFailedHealingAttempt) {
+  // Half the local items dropped and a one-round quiet window: with fault
+  // seeds 2 and 5 the first healing attempt stabilizes prematurely, the
+  // referee rejects it, and a retry with fresh draws converges. The
+  // skeleton is still the fault-free one, at every thread count, and every
+  // round past the nominal h — the failed attempt included — is
+  // extra_rounds.
+  const u32 n = 24;
+  const graph g = gen::erdos_renyi_connected(n, 3.0, 4, 19);
+  hybrid_net clean(g, default_cfg(), 7);
+  const skeleton_result want = compute_skeleton(clean, 0.4);
+  for (const u64 fs : {2u, 5u})
+    for (const u32 threads : {1u, 2u, 8u}) {
+      fault_options f = drop_local_opts(0.5, fs);
+      f.heal_stability_rounds = 1;
+      hybrid_net net(g, default_cfg(), 7, with_faults(f, threads));
+      const skeleton_result got = compute_skeleton(net, 0.4);
+      ASSERT_EQ(got.edges, want.edges) << fs << " threads=" << threads;
+      ASSERT_EQ(net.raw_metrics().extra_rounds, net.round() - got.h)
+          << fs << " threads=" << threads;
+    }
 }
 
 // ---- dissemination under faults -------------------------------------------

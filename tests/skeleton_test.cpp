@@ -117,10 +117,10 @@ TEST(Skeleton, ApspExecutorThreadCountsBitIdentical) {
 }
 
 TEST(Skeleton, SparseExplorationPathMatchesDenseBellmanFord) {
-  // compute_skeleton's fault-free path uses the ball-bounded sparse
-  // exploration; the exploration equivalence contract says its triples AND
-  // its round/traffic charging are bit-identical to the dense limited
-  // Bellman–Ford it replaced. Verify both against a direct BF run.
+  // compute_skeleton explores from the skeleton nodes through
+  // run_local_exploration; its `near` lists, rounds and traffic must equal
+  // a direct limited_bellman_ford run (the index-keyed adapter over the
+  // same entry).
   const graph g = gen::erdos_renyi_connected(220, 4.5, 8, 33);
   hybrid_net a(g, cfg(), 33);
   const skeleton_result sk = compute_skeleton(a, 0.12);
